@@ -15,7 +15,6 @@ from .perms import (
     cycle_count,
     face,
     hat,
-    homotopy_d,
     homotopy_d_on_sum,
     identity,
     inverse,
@@ -30,7 +29,6 @@ from .surfaces import (
     realizable,
     realizable_perms,
     simplex_genus,
-    stabilizer_label,
 )
 from .ribbon import RibbonGraph, build_ribbon, oracle_boundary_count, trace_faces
 from .intmat import SNFResult, SparseIntMatrix, snf

@@ -5,24 +5,20 @@ A page is a table indexed by column ``p >= 1``: the summands in column ``p``
 are the realizable degree-``p`` words over the ambient surface, each labeled
 by the surface type of its stabilizer (the cut surface).  Entries are labels
 only; no homology groups are computed here.  The first differential, with
-trivial coefficients, is the signed face-merge matrix, which must coincide
-with the boundary matrix of the realizability quotient complex.
+trivial coefficients, is the signed face-merge matrix; it is built by the
+same face-matrix builder as the boundary matrices of the realizability
+quotient complex, and is checked column by column against the twist
+cancellation rule of :func:`cancellation_report`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import quotient_complex
+from .complexes import face_matrix, quotient_complex
 from .intmat import SparseIntMatrix
 from .perms import Perm, face
-from .surfaces import (
-    ArcClass,
-    SurfaceType,
-    realizable_perms,
-    simplex_genus,
-    stabilizer_label,
-)
+from .surfaces import ArcClass, SurfaceType, cut_surface, realizable_perms, simplex_genus
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,7 @@ def e1_skeleton(ambient: SurfaceType, side: int, max_p: int) -> E1Page:
             Summand(
                 w,
                 simplex_genus(ArcClass(w, side)),
-                stabilizer_label(ambient, ArcClass(w, side)),
+                cut_surface(ambient, ArcClass(w, side)),
             )
             for w in realizable_perms(p, side, ambient.g)
         )
@@ -117,20 +113,32 @@ def d1_matrix(page: E1Page, p: int) -> SparseIntMatrix:
     """
     if p < 2:
         raise ValueError("the first differential needs p >= 2")
-    src = [s.perm for s in page.column(p)]
-    dst = {s.perm: i for i, s in enumerate(page.column(p - 1))}
-    m = SparseIntMatrix(len(dst), len(src))
-    for c, word in enumerate(src):
-        for j in range(len(word)):
-            f = face(word, j)
-            assert f in dst, f"face {f} missing from column {p - 1}"
-            m.add(dst[f], c, (-1) ** j)
-    return m
+    return face_matrix(
+        [s.perm for s in page.column(p)],
+        {s.perm: i for i, s in enumerate(page.column(p - 1))},
+    )
 
 
 def quotient_boundary_matrix(page: E1Page, p: int) -> SparseIntMatrix:
-    """The boundary matrix the page's d1 must reproduce."""
+    """The boundary matrix of the realizability quotient complex at column ``p``."""
     return quotient_complex(page.ambient.g, page.side, max(p, 2)).boundary_matrix(p)
+
+
+def d1_follows_cancellation(page: E1Page, p: int, m: SparseIntMatrix) -> bool:
+    """
+    Whether every column of ``m``, read as the first differential from
+    column ``p``, holds exactly the signed faces that
+    :func:`cancellation_report` leaves for its source word.
+    """
+    targets = [s.perm for s in page.column(p - 1)]
+    cols: list[list[tuple[int, Perm]]] = [[] for _ in range(m.ncols)]
+    for i, j, v in m.entries():
+        cols[j].append((v, targets[i]))
+    sources = page.column(p)
+    return len(sources) == m.ncols and all(
+        tuple(sorted(col, key=lambda t: t[1])) == cancellation_report(s.perm)
+        for col, s in zip(cols, sources)
+    )
 
 
 def cancellation_report(word: Perm) -> tuple[tuple[int, Perm], ...]:

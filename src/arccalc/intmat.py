@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Iterator
 
 
@@ -369,23 +368,24 @@ def snf(m: SparseIntMatrix, want_transforms: bool = False) -> SNFResult:
         pivots.append([pi, next(iter(e.rows[pi]))])
         e.retire_row(pi)
 
-    # enforce the divisibility chain
+    # A unit pivot divides every other pivot, so only non-unit pivots can
+    # break the divisibility chain: mix each such pair until none does.
+    chain = [pv for pv in pivots if abs(e.rows[pv[0]][pv[1]]) != 1]
+    changed = True
+    while changed:
+        changed = False
+        for s in range(len(chain)):
+            for t in range(s + 1, len(chain)):
+                rs, cs = chain[s]
+                rt, ct = chain[t]
+                if e.rows[rt][ct] % e.rows[rs][cs]:
+                    e.col_op(cs, ct, 1)
+                    e.clear_pivot(rs, cs)
+                    chain[s][1] = next(iter(e.rows[rs]))
+                    chain[t][1] = next(iter(e.rows[rt]))
+                    changed = True
+
     if want_transforms:
-        changed = True
-        while changed:
-            changed = False
-            for s in range(len(pivots)):
-                for t in range(s + 1, len(pivots)):
-                    rs, cs = pivots[s]
-                    rt, ct = pivots[t]
-                    ds = e.rows[rs][cs]
-                    dt = e.rows[rt][ct]
-                    if dt % ds:
-                        e.col_op(cs, ct, 1)
-                        e.clear_pivot(rs, cs)
-                        pivots[s][1] = next(iter(e.rows[rs]))
-                        pivots[t][1] = next(iter(e.rows[rt]))
-                        changed = True
         for rs, cs in pivots:
             if e.rows[rs][cs] < 0:
                 e.negate_row(rs)
@@ -410,25 +410,5 @@ def snf(m: SparseIntMatrix, want_transforms: bool = False) -> SNFResult:
         vt._rows = e.vt_rows
         return SNFResult(factors, len(factors), u, vt.transpose())
 
-    values = sorted(abs(e.rows[r][c]) for r, c in pivots)
-    return SNFResult(tuple(_divisibility_chain(values)), len(values))
-
-
-def _divisibility_chain(values: list[int]) -> list[int]:
-    """Turn diagonal values into invariant factors by repeated gcd/lcm."""
-    vals = list(values)
-    n = len(vals)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(n):
-            for t in range(s + 1, n):
-                if vals[t] % vals[s]:
-                    g = gcd(vals[s], vals[t])
-                    vals[s], vals[t] = g, vals[s] * vals[t] // g
-                    changed = True
-    return sorted(vals)
-
-
-def rank(m: SparseIntMatrix) -> int:
-    return snf(m).rank
+    factors = tuple(sorted(abs(e.rows[r][c]) for r, c in pivots))
+    return SNFResult(factors, len(factors))

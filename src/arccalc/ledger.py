@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from math import factorial
 
 from .perms import identity
-from .surfaces import ArcClass, realizable, realizable_perms, simplex_genus
+from .surfaces import ArcClass, realizable, simplex_genus
 
 GLUINGS = ((1, 0), (0, 1), (1, -1))
 
@@ -240,8 +239,6 @@ EXPECTED_EXCEPTIONS: dict[str, frozenset[tuple[tuple[int, int], int, int, int]]]
 def _full_orbit_set(p: int, side: int, g_complex: int) -> bool:
     # the identity word minimizes the thickening genus (value 0), so the
     # orbit set is full exactly when the identity is realizable
-    if p <= 6:
-        return len(realizable_perms(p, side, g_complex)) == factorial(p)
     return realizable(ArcClass(identity(p), side), g_complex)
 
 

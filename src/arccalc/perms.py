@@ -43,10 +43,6 @@ def as_perm(word: Sequence[int]) -> Perm:
     return p
 
 
-def degree(a: Sequence[int]) -> int:
-    return len(a)
-
-
 def identity(k: int) -> Perm:
     """
     The identity word of degree ``k``.
@@ -218,9 +214,6 @@ class FormalSum:
         return cls.from_terms((d["coeff"], tuple(d["perm"])) for d in data)
 
 
-ZERO_SUM = FormalSum()
-
-
 def singleton(a: Sequence[int], coeff: int = 1) -> FormalSum:
     return FormalSum.from_terms([(coeff, tuple(a))])
 
@@ -242,15 +235,9 @@ def boundary(a: Sequence[int]) -> FormalSum:
 
 
 def boundary_of_sum(s: FormalSum) -> FormalSum:
-    out = ZERO_SUM
-    for c, p in s.terms:
-        out = out + boundary(p).scale(c)
-    return out
-
-
-def homotopy_d(a: Sequence[int]) -> Perm:
-    """Degree-raising contraction; on a single word it is :func:`hat`."""
-    return hat(a)
+    return FormalSum.from_terms(
+        (c * k, f) for c, p in s.terms for k, f in boundary(p).terms
+    )
 
 
 def homotopy_d_on_sum(s: FormalSum) -> FormalSum:

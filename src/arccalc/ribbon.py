@@ -81,9 +81,7 @@ def build_ribbon(a: ArcClass) -> RibbonGraph:
     else:
         rot0 = [(p, 0)] + [(j, 0) for j in range(p)] + [(p + 1, 0)]
         rot1 = [(p + 1, 1)] + at_v1 + [(p, 1)]
-    graph = RibbonGraph(p, a.side, (tuple(rot0), tuple(rot1)))
-    assert graph.euler_char == -p
-    return graph
+    return RibbonGraph(p, a.side, (tuple(rot0), tuple(rot1)))
 
 
 def trace_faces(graph: RibbonGraph) -> tuple[tuple[Dart, ...], ...]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perms import Perm, all_perms, as_perm, compose, hat, inverse, rotation
+from .perms import Perm, all_perms, as_perm, compose, cycle_count, hat, inverse, rotation
 
 SIDES = (1, 2)
 
@@ -78,23 +78,10 @@ def _neighborhood_boundary(perm: Perm, side: int) -> int:
         h = hat(perm)
         rot = rotation(k + 1)
         word = compose(compose(rot, inverse(h)), compose(inverse(rot), h))
-        return _cycles(word) + 1
+        return cycle_count(word) + 1
     rot = rotation(k)
     word = compose(compose(rot, inverse(perm)), compose(inverse(rot), perm))
-    return _cycles(word) + 2
-
-
-def _cycles(word: Perm) -> int:
-    seen = [False] * len(word)
-    count = 0
-    for i in range(len(word)):
-        if not seen[i]:
-            count += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = word[j]
-    return count
+    return cycle_count(word) + 2
 
 
 def boundary_of_neighborhood(a: ArcClass) -> int:
@@ -120,7 +107,8 @@ def simplex_genus(a: ArcClass) -> int:
     0
     """
     num = a.arc_count + 2 - boundary_of_neighborhood(a)
-    assert num >= 0 and num % 2 == 0, f"parity violation for {a}"
+    if num < 0 or num % 2:
+        raise ValueError(f"parity violation for {a}")
     return num // 2
 
 
@@ -169,17 +157,11 @@ def cut_surface(ambient: SurfaceType, a: ArcClass) -> SurfaceType:
         raise ValueError(
             f"genus deficit: {a} needs simplex genus >= {p + 1 - ambient.g - a.side}, has {s}"
         )
+    # realizability gives g_cut >= 0, and the thickening has at least
+    # side + 1 boundary circles, so r_cut >= ambient.r - side + 1 >= 1
     g_cut = ambient.g + s - (p + 1 - a.side)
     r_cut = boundary_of_neighborhood(a) + ambient.r - 2 * a.side
-    assert g_cut >= 0 and r_cut >= 1, f"degenerate cut type ({g_cut}, {r_cut})"
-    out = SurfaceType(g_cut, r_cut)
-    assert out.euler_char == ambient.euler_char + p
-    return out
-
-
-def stabilizer_label(ambient: SurfaceType, a: ArcClass) -> SurfaceType:
-    """Surface type indexing the stabilizer of the arc system's orbit."""
-    return cut_surface(ambient, a)
+    return SurfaceType(g_cut, r_cut)
 
 
 _GLUE_DELTAS = {

@@ -38,6 +38,16 @@ class TestExitCodes:
         )
         assert cli.main(["exceptions", "--case", "inj-s11"]) == 1
 
+    def test_homotopy_checking_nothing_fails(self):
+        res = run("homotopy", "--max-degree", "1", "--format", "json")
+        assert res.returncode == 1
+        row = json.loads(res.stdout)["rows"][0]
+        assert row["checked"] == 0 and row["ok"] is False
+
+    def test_homotopy_sampling_needs_positive_samples(self):
+        assert run("homotopy", "--max-degree", "2", "--sample-degree", "7").returncode == 2
+        assert run("homotopy", "--max-degree", "2", "--samples", "-5").returncode == 2
+
     def test_describe_exits_zero(self):
         assert run("--describe").returncode == 0
 

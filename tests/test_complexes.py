@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import arccalc
 from arccalc.complexes import (
     exactness_report,
+    face_matrix,
     homology,
     perm_complex,
     quotient_complex,
+    quotient_contraction,
     verify_homotopy,
     verify_homotopy_sampled,
     verify_quotient_homotopy,
@@ -43,6 +50,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             perm_complex(9)
 
+    def test_face_outside_index_raises(self):
+        assert face_matrix([(0, 2, 1)], {(0, 1): 0, (1, 0): 1}).to_dense() == [[0], [1]]
+        with pytest.raises(ValueError):
+            face_matrix([(0, 2, 1)], {(0, 1): 0})
+
     def test_basis_is_lex_sorted(self):
         c = quotient_complex(2, 2, 5)
         for d in range(1, 6):
@@ -67,7 +79,7 @@ class TestHomology:
         from arccalc.intmat import SparseIntMatrix
 
         bases = {1: tuple(all_perms(1)), 2: tuple(all_perms(2))}
-        c = ChainComplex.from_matrices(bases, {2: SparseIntMatrix(1, 2)})
+        c = ChainComplex(bases, {2: SparseIntMatrix(1, 2)})
         assert homology(c, 1).betti == 1
         assert homology(c, 2).betti == 2
 
@@ -77,7 +89,7 @@ class TestHomology:
 
         bases = {1: tuple(all_perms(1)), 2: tuple(all_perms(2))}
         with pytest.raises(ValueError):
-            ChainComplex.from_matrices(bases, {2: SparseIntMatrix(3, 3)})
+            ChainComplex(bases, {2: SparseIntMatrix(3, 3)})
 
     def test_missing_degree_rejected(self):
         c = perm_complex(4)
@@ -146,3 +158,27 @@ class TestHomotopy:
     def test_report_json(self):
         rep = verify_homotopy(3)
         assert rep.to_json() == {"checked": 8, "failures": [], "ok": True}
+
+
+class TestInvariantsSurviveOptimize:
+    def test_unexpected_escape_raises(self):
+        # genus 2, side 1 has top degree 2, so a degree-3 escape is not the
+        # identity at the top and must not be replaced by the twist word
+        with pytest.raises(ValueError):
+            quotient_contraction(2, 1, 3, (0, 1, 2))
+
+    def test_unexpected_escape_raises_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(arccalc.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "from arccalc.complexes import quotient_contraction\n"
+            "try:\n"
+            "    print(quotient_contraction(2, 1, 3, (0, 1, 2)))\n"
+            "except ValueError:\n"
+            "    print('raised')\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "raised"

@@ -4,6 +4,7 @@ import pytest
 
 from arccalc.e1page import (
     cancellation_report,
+    d1_follows_cancellation,
     d1_matrix,
     e1_skeleton,
     quotient_boundary_matrix,
@@ -132,6 +133,15 @@ class TestCancellation:
 
     def test_single_arc_has_no_faces(self):
         assert cancellation_report((0,)) == ()
+
+    def test_d1_check_catches_a_changed_entry(self):
+        page = e1_skeleton(SurfaceType(3, 2), 1, 4)
+        for p in (3, 4):
+            m = d1_matrix(page, p)
+            assert d1_follows_cancellation(page, p, m)
+            i, j, v = next(m.entries())
+            m.set(i, j, -v)
+            assert not d1_follows_cancellation(page, p, m)
 
     def test_matches_d1_column(self):
         page = e1_skeleton(SurfaceType(6, 2), 1, 5)

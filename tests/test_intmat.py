@@ -23,6 +23,26 @@ def random_dense(rng, n, m, density=0.6, bound=9):
     ]
 
 
+TORSION_DIAGONAL = (0, 1, 1, 2, 3, 4, 6, 9, 12)
+
+
+def dense_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def unimodular(draw, n):
+    """An n x n integer matrix of determinant 1: the identity after random row additions."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3 * n))):
+        src = draw(st.integers(min_value=0, max_value=n - 1))
+        dst = draw(st.integers(min_value=0, max_value=n - 1))
+        if src != dst:
+            c = draw(st.integers(min_value=-30, max_value=30))
+            a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+    return a
+
+
 class TestMatrixBasics:
     def test_set_get_drop_zero(self):
         m = SparseIntMatrix(2, 2)
@@ -74,6 +94,13 @@ class TestSNFExamples:
         res = snf(m, want_transforms=True)
         assert res.invariant_factors == (1, 6)
         assert (res.U @ m @ res.V) == res.diagonal_matrix(2, 2)
+
+    def test_three_nonunit_pivots_need_repeated_passes(self):
+        m = from_dense([[4, 0, 0], [0, 6, 0], [0, 0, 9]])
+        assert snf(m).invariant_factors == (1, 6, 36)
+        res = snf(m, want_transforms=True)
+        assert res.invariant_factors == (1, 6, 36)
+        assert (res.U @ m @ res.V) == res.diagonal_matrix(3, 3)
 
     def test_rank(self):
         m = from_dense([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
@@ -131,6 +158,27 @@ class TestSNFAgainstDenseReferee:
     def test_property_referee(self, dense):
         sparse = from_dense(dense)
         assert snf(sparse).invariant_factors == tuple(dense_invariant_factors(dense))
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_property_torsion_heavy_products(self, data):
+        # M = P D Q with unimodular P, Q: the invariant factors are those of
+        # the torsion-heavy diagonal D, hidden behind large entries
+        n = data.draw(st.integers(min_value=1, max_value=15))
+        m = data.draw(st.integers(min_value=1, max_value=15))
+        diag = data.draw(
+            st.lists(st.sampled_from(TORSION_DIAGONAL), min_size=min(n, m), max_size=min(n, m))
+        )
+        d = [[diag[i] if i == j else 0 for j in range(m)] for i in range(n)]
+        dense = dense_matmul(dense_matmul(data.draw(unimodular(n)), d), data.draw(unimodular(m)))
+        sparse = from_dense(dense)
+        expected = tuple(dense_invariant_factors(dense))
+        assert snf(sparse).invariant_factors == expected
+        res = snf(sparse, want_transforms=True)
+        assert res.invariant_factors == expected
+        assert (res.U @ sparse @ res.V) == res.diagonal_matrix(n, m)
+        assert abs(bareiss_det(res.U)) == 1
+        assert abs(bareiss_det(res.V)) == 1
 
     def test_chain_condition(self):
         rng = random.Random(7)

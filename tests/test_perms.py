@@ -11,7 +11,6 @@ from arccalc.perms import (
     cycle_count,
     face,
     hat,
-    homotopy_d,
     homotopy_d_on_sum,
     identity,
     inverse,
@@ -169,13 +168,13 @@ class TestHomotopy:
     def test_identity_exhaustive(self):
         for k in range(2, 7):
             for a in all_perms(k):
-                lhs = boundary(homotopy_d(a)) + homotopy_d_on_sum(boundary(a))
+                lhs = boundary(hat(a)) + homotopy_d_on_sum(boundary(a))
                 assert lhs == singleton(a), a
 
     def test_degree_one_excluded(self):
         # prepending a fixed point to the sole degree-1 word and taking the
         # boundary gives zero, not the word: the identity starts at degree 2
-        assert boundary(homotopy_d((0,))).is_zero()
+        assert boundary(hat((0,))).is_zero()
 
 
 class TestFormalSum:
