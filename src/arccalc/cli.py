@@ -163,7 +163,9 @@ def _pmap(fn, tasks: list, threads: int) -> list:
     if threads <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with get_context("fork").Pool(threads) as pool:
-        return pool.map(fn, tasks)
+        # one task per chunk: the default chunksize can put the costliest
+        # tasks (the last ones) in a single chunk, on a single worker
+        return pool.map(fn, tasks, chunksize=1)
 
 
 def run_invariants(args, parser) -> tuple[dict, tuple[str, ...], bool]:

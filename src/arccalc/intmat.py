@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator
 
 
@@ -71,11 +72,6 @@ class SparseIntMatrix:
 
     def is_zero(self) -> bool:
         return all(not r for r in self._rows)
-
-    def copy(self) -> "SparseIntMatrix":
-        m = SparseIntMatrix(self.nrows, self.ncols)
-        m._rows = [dict(r) for r in self._rows]
-        return m
 
     def transpose(self) -> "SparseIntMatrix":
         m = SparseIntMatrix(self.ncols, self.nrows)
@@ -238,88 +234,41 @@ class _Eliminator:
                 else:
                     vdst.pop(i, None)
 
-    def swap_rows(self, a: int, b: int) -> None:
-        if a == b:
-            return
-        rows, col_rows = self.rows, self.col_rows
-        for j in rows[a].keys() | rows[b].keys():
-            ina, inb = j in rows[a], j in rows[b]
-            if ina != inb:
-                if ina:
-                    col_rows[j].discard(a)
-                    col_rows[j].add(b)
-                else:
-                    col_rows[j].discard(b)
-                    col_rows[j].add(a)
-        rows[a], rows[b] = rows[b], rows[a]
-        self._rebucket(a)
-        self._rebucket(b)
-        if self.u_rows is not None:
-            self.u_rows[a], self.u_rows[b] = self.u_rows[b], self.u_rows[a]
-
-    def swap_cols(self, a: int, b: int) -> None:
-        if a == b:
-            return
-        rows, col_rows = self.rows, self.col_rows
-        for i in col_rows[a] | col_rows[b]:
-            row = rows[i]
-            va, vb = row.pop(a, None), row.pop(b, None)
-            if va is not None:
-                row[b] = va
-            if vb is not None:
-                row[a] = vb
-        col_rows[a], col_rows[b] = col_rows[b], col_rows[a]
-        if self.vt_rows is not None:
-            self.vt_rows[a], self.vt_rows[b] = self.vt_rows[b], self.vt_rows[a]
-
-    def negate_row(self, i: int) -> None:
-        row = self.rows[i]
-        for j in row:
-            row[j] = -row[j]
-        if self.u_rows is not None:
-            urow = self.u_rows[i]
-            for j in urow:
-                urow[j] = -urow[j]
-
     # -- pivot clearing --
 
-    def clear_pivot(self, pi: int, pj: int) -> None:
+    def clear_pivot(self, pi: int, pj: int) -> tuple[int, int]:
         """
-        Zero out row ``pi`` and column ``pj`` except the pivot itself,
-        migrating the pivot to smaller remainders when division is inexact.
-        Terminates because the pivot's absolute value strictly drops at
-        every migration.
+        Zero out the pivot's row and column except the pivot itself, and
+        return the position where the pivot ends up.  The pivot is a
+        position, not a row: when a division leaves a remainder in row ``i``
+        (or column ``j``), that remainder becomes the pivot at ``(i, pj)``
+        (or ``(pi, j)``) and clearing starts over from there.  Terminates
+        because the pivot's absolute value strictly drops at every move.
         """
         rows, col_rows = self.rows, self.col_rows
         while True:
             v = rows[pi][pj]
-            migrated = False
             for i in list(col_rows[pj]):
                 if i == pi:
                     continue
                 q = rows[i][pj] // v
                 if q:
                     self.row_op(i, pi, -q)
-                r = rows[i].get(pj, 0)
-                if r:
-                    self.swap_rows(i, pi)
-                    migrated = True
+                if pj in rows[i]:
+                    pi = i
                     break
-            if migrated:
-                continue
-            for j in list(rows[pi].keys()):
-                if j == pj:
-                    continue
-                q = rows[pi][j] // v
-                if q:
-                    self.col_op(j, pj, -q)
-                r = rows[pi].get(j, 0)
-                if r:
-                    self.swap_cols(j, pj)
-                    migrated = True
-                    break
-            if not migrated:
-                return
+            else:
+                for j in list(rows[pi]):
+                    if j == pj:
+                        continue
+                    q = rows[pi][j] // v
+                    if q:
+                        self.col_op(j, pj, -q)
+                    if j in rows[pi]:
+                        pj = j
+                        break
+                else:
+                    return pi, pj
 
     def find_pivot(self) -> tuple[int, int] | None:
         """
@@ -354,61 +303,57 @@ def snf(m: SparseIntMatrix, want_transforms: bool = False) -> SNFResult:
     rank; with ``want_transforms`` also unimodular ``U`` (nrows x nrows) and
     ``V`` (ncols x ncols) such that ``U @ m @ V`` is the diagonal matrix of
     the invariant factors.
+
+    No row or column is ever moved.  Each pivot is recorded at the position
+    where ``clear_pivot`` leaves it, alone in its row and column, and the
+    pivots are ordered once, by absolute value.  U then lists the pivot rows
+    in that order (negated where the pivot is negative) before the other
+    rows, and V the pivot columns before the other columns.
     """
     e = _Eliminator(m, want_transforms)
-    pivots: list[list[int]] = []  # [row, col] per pivot, in discovery order
+    rows = e.rows
+    pivots: list[tuple[int, int]] = []
 
     while True:
         pick = e.find_pivot()
         if pick is None:
             break
-        pi, pj = pick
-        e.clear_pivot(pi, pj)
-        # clearing leaves exactly the (possibly migrated) pivot in its row
-        pivots.append([pi, next(iter(e.rows[pi]))])
+        pi, pj = e.clear_pivot(*pick)
+        pivots.append((pi, pj))
         e.retire_row(pi)
 
     # A unit pivot divides every other pivot, so only non-unit pivots can
-    # break the divisibility chain: mix each such pair until none does.
-    chain = [pv for pv in pivots if abs(e.rows[pv[0]][pv[1]]) != 1]
+    # break the divisibility chain: mix each such pair until none does.  The
+    # pair spans rows {rs, rt} and columns {cs, ct} and nothing else, so once
+    # the gcd pivot is cleared the other row holds the lcm in the other column.
+    chain = [k for k, (r, c) in enumerate(pivots) if abs(rows[r][c]) != 1]
     changed = True
     while changed:
         changed = False
-        for s in range(len(chain)):
-            for t in range(s + 1, len(chain)):
-                rs, cs = chain[s]
-                rt, ct = chain[t]
-                if e.rows[rt][ct] % e.rows[rs][cs]:
-                    e.col_op(cs, ct, 1)
-                    e.clear_pivot(rs, cs)
-                    chain[s][1] = next(iter(e.rows[rs]))
-                    chain[t][1] = next(iter(e.rows[rt]))
-                    changed = True
+        for s, t in combinations(chain, 2):
+            (rs, cs), (rt, ct) = pivots[s], pivots[t]
+            if rows[rt][ct] % rows[rs][cs]:
+                e.col_op(cs, ct, 1)
+                r, c = pivots[s] = e.clear_pivot(rs, cs)
+                pivots[t] = (rt if r == rs else rs, ct if c == cs else cs)
+                changed = True
 
-    if want_transforms:
-        for rs, cs in pivots:
-            if e.rows[rs][cs] < 0:
-                e.negate_row(rs)
-        pivots.sort(key=lambda rc: e.rows[rc[0]][rc[1]])
-        # park each pivot at (t, t) so U @ m @ V is literally diagonal
-        for t, (rs, cs) in enumerate(list(pivots)):
-            e.swap_rows(t, rs)
-            e.swap_cols(t, cs)
-            for other in pivots:
-                if other[0] == t:
-                    other[0] = rs
-                elif other[0] == rs:
-                    other[0] = t
-                if other[1] == t:
-                    other[1] = cs
-                elif other[1] == cs:
-                    other[1] = t
-        factors = tuple(e.rows[t][t] for t in range(len(pivots)))
-        u = SparseIntMatrix(m.nrows, m.nrows)
-        u._rows = e.u_rows
-        vt = SparseIntMatrix(m.ncols, m.ncols)
-        vt._rows = e.vt_rows
-        return SNFResult(factors, len(factors), u, vt.transpose())
+    pivots.sort(key=lambda rc: abs(rows[rc[0]][rc[1]]))
+    factors = tuple(abs(rows[r][c]) for r, c in pivots)
+    if not want_transforms:
+        return SNFResult(factors, len(factors))
+    sign = {r: -1 for r, c in pivots if rows[r][c] < 0}
+    u = SparseIntMatrix(m.nrows, m.nrows)
+    u._rows = [
+        {k: sign.get(r, 1) * x for k, x in e.u_rows[r].items()}
+        for r in _pivots_first([r for r, _ in pivots], m.nrows)
+    ]
+    vt = SparseIntMatrix(m.ncols, m.ncols)
+    vt._rows = [e.vt_rows[c] for c in _pivots_first([c for _, c in pivots], m.ncols)]
+    return SNFResult(factors, len(factors), u, vt.transpose())
 
-    factors = tuple(sorted(abs(e.rows[r][c]) for r, c in pivots))
-    return SNFResult(factors, len(factors))
+
+def _pivots_first(lines: list[int], n: int) -> list[int]:
+    """The pivot rows (or columns) in pivot order, then the others in order."""
+    taken = set(lines)
+    return lines + [k for k in range(n) if k not in taken]

@@ -132,16 +132,7 @@ def _boundary_add_branch(g: int, k: int) -> list[Obligation]:
     ]
     if k >= 2:
         obs.append(_obligation("split-exact-range", base, g - 1, k))
-    for q in range(0, k - 1):
-        p = k + 1 - q
-        obs.append(
-            _obligation("row-iso-leg", {**base, "p": p, "q": q}, 2 * (g - p + 1), 3 * q + 2)
-        )
-        p2 = k + 2 - q
-        obs.append(
-            _obligation("row-surj-leg", {**base, "p": p2, "q": q}, 2 * (g - p2 + 1), 3 * q)
-        )
-    return obs
+    return obs + _row_legs(base, k - 1, k + 1)
 
 
 def _genus_raise_surj_branch(g: int, k: int) -> list[Obligation]:
@@ -151,27 +142,10 @@ def _genus_raise_surj_branch(g: int, k: int) -> list[Obligation]:
         _obligation("c2-surj-step-down", base, 2 * (g - 1), 3 * (k - 1)),
     ]
     if k >= 2:
-        obs.extend(
-            [
-                _obligation("three-column-genus", base, g + 1, 3),
-                _obligation("c1-inj-step-down", base, 2 * (g - 1), 3 * (k - 2) + 2),
-                _obligation("c2-inj-step-down", base, 2 * (g - 1), 3 * (k - 2)),
-                _obligation("c3-surj-step-down", base, 2 * (g - 2), 3 * (k - 2)),
-                _obligation("c456-surj-step-down", base, 2 * (g - 2), 3 * (k - 2) - 1),
-            ]
-        )
+        obs.extend(_injectivity_step_down(base, k - 2))
     if k >= 3:
         obs.append(_obligation("split-exact-range", base, g - 1, k))
-    for q in range(0, k - 2):
-        p = k + 1 - q
-        obs.append(
-            _obligation("row-iso-leg", {**base, "p": p, "q": q}, 2 * (g - p + 1), 3 * q + 2)
-        )
-        p2 = k + 2 - q
-        obs.append(
-            _obligation("row-surj-leg", {**base, "p": p2, "q": q}, 2 * (g - p2 + 1), 3 * q)
-        )
-    return obs
+    return obs + _row_legs(base, k - 2, k + 1)
 
 
 def _genus_raise_inj_branch(g: int, k: int) -> list[Obligation]:
@@ -179,23 +153,33 @@ def _genus_raise_inj_branch(g: int, k: int) -> list[Obligation]:
     obs = [
         _obligation("c1-surj-same-degree", base, 2 * (g - 1), 3 * k - 1),
         _obligation("c2-surj-same-degree", base, 2 * (g - 1), 3 * k),
-        _obligation("three-column-genus", base, g + 1, 3),
-        _obligation("c1-inj-step-down", base, 2 * (g - 1), 3 * (k - 1) + 2),
-        _obligation("c2-inj-step-down", base, 2 * (g - 1), 3 * (k - 1)),
-        _obligation("c3-surj-step-down", base, 2 * (g - 2), 3 * (k - 1)),
-        _obligation("c456-surj-step-down", base, 2 * (g - 2), 3 * (k - 1) - 1),
+        *_injectivity_step_down(base, k - 1),
     ]
     if k >= 2:
         obs.append(_obligation("split-exact-range", base, g - 1, k))
-    for q in range(0, k - 1):
-        p = k + 2 - q
-        obs.append(
-            _obligation("row-iso-leg", {**base, "p": p, "q": q}, 2 * (g - p + 1), 3 * q + 2)
-        )
-        p2 = k + 3 - q
-        obs.append(
-            _obligation("row-surj-leg", {**base, "p": p2, "q": q}, 2 * (g - p2 + 1), 3 * q)
-        )
+    return obs + _row_legs(base, k - 1, k + 2)
+
+
+def _injectivity_step_down(base: dict, d: int) -> list[Obligation]:
+    """The three-column genus and the maps covering injectivity in degree ``d``."""
+    g = base["g"]
+    return [
+        _obligation("three-column-genus", base, g + 1, 3),
+        _obligation("c1-inj-step-down", base, 2 * (g - 1), 3 * d + 2),
+        _obligation("c2-inj-step-down", base, 2 * (g - 1), 3 * d),
+        _obligation("c3-surj-step-down", base, 2 * (g - 2), 3 * d),
+        _obligation("c456-surj-step-down", base, 2 * (g - 2), 3 * d - 1),
+    ]
+
+
+def _row_legs(base: dict, rows: int, p0: int) -> list[Obligation]:
+    """Per row ``q < rows``: the iso leg at column ``p0 - q``, the surj leg right of it."""
+    g = base["g"]
+    obs = []
+    for q in range(rows):
+        legs = (("row-iso-leg", p0 - q, 3 * q + 2), ("row-surj-leg", p0 + 1 - q, 3 * q))
+        for claim, p, rhs in legs:
+            obs.append(_obligation(claim, {**base, "p": p, "q": q}, 2 * (g - p + 1), rhs))
     return obs
 
 

@@ -73,15 +73,11 @@ class ArcClass:
 
 @lru_cache(maxsize=None)
 def _neighborhood_boundary(perm: Perm, side: int) -> int:
-    k = len(perm)
-    if side == 1:
-        h = hat(perm)
-        rot = rotation(k + 1)
-        word = compose(compose(rot, inverse(h)), compose(inverse(rot), h))
-        return cycle_count(word) + 1
-    rot = rotation(k)
-    word = compose(compose(rot, inverse(perm)), compose(inverse(rot), perm))
-    return cycle_count(word) + 2
+    # side 1 reads the arcs through hat, which prepends a fixed point
+    w = hat(perm) if side == 1 else perm
+    rot = rotation(len(w))
+    word = compose(compose(rot, inverse(w)), compose(inverse(rot), w))
+    return cycle_count(word) + side
 
 
 def boundary_of_neighborhood(a: ArcClass) -> int:

@@ -1,13 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+import time
 
 CLI = [sys.executable, "-m", "arccalc.cli"]
 
 
 def run(*args, env=None):
-    import os
-
     full_env = dict(os.environ)
     full_env.pop("ARCCALC_FORMAT", None)
     if env:
@@ -75,6 +75,13 @@ class TestInvariants:
         assert res.returncode == 2
 
 
+def _pid_after_pause(task):
+    # the last two tasks are the slow ones, as the top degree is in oracle-diff
+    if task >= 14:
+        time.sleep(0.3)
+    return os.getpid()
+
+
 class TestSuites:
     def test_oracle_diff(self):
         res = run("oracle-diff", "--max-degree", "5", "--format", "json")
@@ -87,6 +94,12 @@ class TestSuites:
         a = run("oracle-diff", "--max-degree", "4", "--format", "json")
         b = run("oracle-diff", "--max-degree", "4", "--threads", "2", "--format", "json")
         assert a.stdout == b.stdout
+
+    def test_pmap_runs_the_slow_tasks_on_different_workers(self):
+        from arccalc.cli import _pmap
+
+        pids = _pmap(_pid_after_pause, list(range(16)), 2)
+        assert pids[14] != pids[15]
 
     def test_homology(self):
         res = run("homology", "--genus", "2", "--side", "1", "--format", "json")

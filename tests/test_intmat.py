@@ -43,6 +43,16 @@ def unimodular(draw, n):
     return a
 
 
+def check_with_transforms(dense, expected):
+    m = from_dense(dense)
+    assert snf(m).invariant_factors == expected
+    res = snf(m, want_transforms=True)
+    assert res.invariant_factors == expected
+    assert (res.U @ m @ res.V) == res.diagonal_matrix(m.nrows, m.ncols)
+    assert abs(bareiss_det(res.U)) == 1
+    assert abs(bareiss_det(res.V)) == 1
+
+
 class TestMatrixBasics:
     def test_set_get_drop_zero(self):
         m = SparseIntMatrix(2, 2)
@@ -89,18 +99,21 @@ class TestSNFExamples:
         assert snf(SparseIntMatrix(0, 0)).invariant_factors == ()
 
     def test_divisibility_needs_mixing(self):
-        m = from_dense([[2, 0], [0, 3]])
-        assert snf(m).invariant_factors == (1, 6)
-        res = snf(m, want_transforms=True)
-        assert res.invariant_factors == (1, 6)
-        assert (res.U @ m @ res.V) == res.diagonal_matrix(2, 2)
+        check_with_transforms([[2, 0], [0, 3]], (1, 6))
 
     def test_three_nonunit_pivots_need_repeated_passes(self):
-        m = from_dense([[4, 0, 0], [0, 6, 0], [0, 0, 9]])
-        assert snf(m).invariant_factors == (1, 6, 36)
-        res = snf(m, want_transforms=True)
-        assert res.invariant_factors == (1, 6, 36)
-        assert (res.U @ m @ res.V) == res.diagonal_matrix(3, 3)
+        check_with_transforms([[4, 0, 0], [0, 6, 0], [0, 0, 9]], (1, 6, 36))
+
+    @pytest.mark.parametrize(
+        "dense, expected",
+        [
+            pytest.param([[2], [3]], (1,), id="to-another-row"),
+            pytest.param([[2, 3]], (1,), id="to-another-column"),
+            pytest.param([[2, 3], [3, 2]], (1, 5), id="no-unit-entry"),
+        ],
+    )
+    def test_pivot_moves(self, dense, expected):
+        check_with_transforms(dense, expected)
 
     def test_rank(self):
         m = from_dense([[1, 2, 3], [2, 4, 6], [0, 0, 1]])

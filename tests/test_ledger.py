@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from arccalc.ledger import (
@@ -71,6 +74,15 @@ class TestMainTheoremLedger:
         obligations = main_theorem_ledger(50, 20)
         assert obligations
         assert all(o.holds for o in obligations)
+
+    def test_default_grid_is_pinned(self):
+        # the obligations, their order and their serialization, as first recorded
+        obligations = main_theorem_ledger(50, 20)
+        text = json.dumps([o.to_json() for o in obligations], sort_keys=True)
+        assert len(obligations) == 45185
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8e14eb4fcd95cbeccc8973faaac3184ba6dcfcf7efdec3d2039bb16e59167884"
+        )
 
     def test_vacuous_below_degree_1(self):
         # degree 0 contributes nothing; the smallest grid is already clean
