@@ -131,9 +131,9 @@ def _parse_surface(text: str, parser: argparse.ArgumentParser) -> SurfaceType:
         parser.error(f"bad surface {text!r}: {exc}")
 
 
-def _check_degree_cap(value: int, parser: argparse.ArgumentParser) -> int:
-    if not 1 <= value <= complexes.MAX_DEGREE_CAP:
-        parser.error(f"degree cap must be in [1, {complexes.MAX_DEGREE_CAP}]")
+def _check_degree_cap(value: int, parser: argparse.ArgumentParser, low: int = 1) -> int:
+    if not low <= value <= complexes.MAX_DEGREE_CAP:
+        parser.error(f"degree cap must be in [{low}, {complexes.MAX_DEGREE_CAP}]")
     return value
 
 
@@ -209,7 +209,8 @@ def run_homology(args, parser) -> tuple[dict, tuple[str, ...], bool]:
     if args.genus < 2:
         parser.error("quotient genus must be >= 2")
     if args.max_degree is not None:
-        _check_degree_cap(args.max_degree, parser)
+        # the report covers degrees 2 .. max_degree-1
+        _check_degree_cap(args.max_degree, parser, 3)
     rows = complexes.exactness_report(args.genus, args.side, args.max_degree)
     for r in rows:
         r["torsion"] = ";".join(map(str, r["torsion"])) or "-"
@@ -221,20 +222,22 @@ def run_homotopy(args, parser) -> tuple[dict, tuple[str, ...], bool]:
     cap = _check_degree_cap(args.max_degree, parser)
     if (args.genus is None) != (args.side is None):
         parser.error("--genus and --side go together")
+    if args.genus is not None and args.genus < 2:
+        parser.error("quotient genus must be >= 2")
     if args.samples < 0:
         parser.error("--samples must be >= 0")
     if args.sample_degree and not args.samples:
         parser.error("--sample-degree needs a positive --samples")
+    sample_degrees = args.sample_degree or ([7, 8] if args.samples else [])
+    for d in sample_degrees:
+        _check_degree_cap(d, parser, 2)  # the identity starts at degree 2
     rows = []
     rep = complexes.verify_homotopy(cap)
     rows.append({"check": "full-complex", "detail": f"degrees 2..{cap}", "checked": rep.checked, "failures": len(rep.failures), "ok": rep.ok})
     if args.genus is not None:
-        if args.genus < 2:
-            parser.error("quotient genus must be >= 2")
         qrep = complexes.verify_quotient_homotopy(args.genus, args.side)
         rows.append({"check": "quotient-lift", "detail": f"g={args.genus} side={args.side}", "checked": qrep.checked, "failures": len(qrep.failures), "ok": qrep.ok})
-    for d in args.sample_degree or ([7, 8] if args.samples else []):
-        _check_degree_cap(d, parser)
+    for d in sample_degrees:
         srep = complexes.verify_homotopy_sampled(d, args.samples, args.seed)
         rows.append({"check": "sampled", "detail": f"degree {d}", "checked": srep.checked, "failures": len(srep.failures), "ok": srep.ok})
     return {"rows": rows}, ("check", "detail", "checked", "failures", "ok"), all(r["ok"] for r in rows)
@@ -242,6 +245,8 @@ def run_homotopy(args, parser) -> tuple[dict, tuple[str, ...], bool]:
 
 def run_e1(args, parser) -> tuple[dict, tuple[str, ...], bool]:
     ambient = _parse_surface(args.ambient, parser)
+    # a first differential needs a column p >= 2 to start from
+    _check_degree_cap(args.max_p, parser, 2 if args.with_d1 else 1)
     try:
         page = e1page.e1_skeleton(ambient, args.side, args.max_p)
     except ValueError as exc:

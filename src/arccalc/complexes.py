@@ -117,9 +117,6 @@ class ChainComplex:
             raise ValueError(f"no boundary matrix at degree {d}")
         return self._matrices[d]
 
-    def contains(self, d: int, word: Perm) -> bool:
-        return d in self._bases and word in self._index[d]
-
     def verify_dd_zero(self) -> bool:
         return all(
             (self._matrices[d - 1] @ self._matrices[d]).is_zero()
@@ -300,7 +297,7 @@ def verify_quotient_homotopy(g: int, side: int) -> HomotopyReport:
         for word in realizable_perms(d, side, g):
             checked += 1
             img = boundary_of_sum(quotient_contraction(g, side, d, word))
-            for coeff, f in boundary(word).terms:
+            for f, coeff in boundary(word).coeffs.items():
                 img = img + quotient_contraction(g, side, d - 1, f).scale(coeff)
             if img != singleton(word):
                 failures.append(word)

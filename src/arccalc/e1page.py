@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .complexes import face_matrix, quotient_complex
 from .intmat import SparseIntMatrix
-from .perms import Perm, face
+from .perms import FormalSum, Perm, face
 from .surfaces import ArcClass, SurfaceType, cut_surface, realizable_perms, simplex_genus
 
 
@@ -131,34 +131,32 @@ def d1_follows_cancellation(page: E1Page, p: int, m: SparseIntMatrix) -> bool:
     :func:`cancellation_report` leaves for its source word.
     """
     targets = [s.perm for s in page.column(p - 1)]
-    cols: list[list[tuple[int, Perm]]] = [[] for _ in range(m.ncols)]
+    cols: list[dict[Perm, int]] = [{} for _ in range(m.ncols)]
     for i, j, v in m.entries():
-        cols[j].append((v, targets[i]))
+        cols[j][targets[i]] = v
     sources = page.column(p)
     return len(sources) == m.ncols and all(
-        tuple(sorted(col, key=lambda t: t[1])) == cancellation_report(s.perm)
-        for col, s in zip(cols, sources)
+        col == cancellation_report(s.perm).coeffs for col, s in zip(cols, sources)
     )
 
 
-def cancellation_report(word: Perm) -> tuple[tuple[int, Perm], ...]:
+def cancellation_report(word: Perm) -> FormalSum:
     """
     Signed faces surviving the twist cancellations.
 
     Two successive faces are equal exactly when the word carries adjacent
     values at adjacent positions (in either order); such a pair enters with
-    opposite signs and cancels.  Survivors are aggregated per face word and
-    returned sorted, which must match the nonzero entries of the word's
-    first-differential column.
+    opposite signs and cancels.  The survivors, summed per face word, must
+    equal the nonzero entries of the word's first-differential column.
 
-    >>> cancellation_report((0, 2, 1))
-    ((1, (1, 0)),)
-    >>> cancellation_report((0, 3, 1, 2))
-    ((-1, (0, 1, 2)), (1, (2, 0, 1)))
+    >>> cancellation_report((0, 2, 1)).coeffs
+    {(1, 0): 1}
+    >>> cancellation_report((0, 3, 1, 2)).to_json()
+    [{'coeff': -1, 'perm': [0, 1, 2]}, {'coeff': 1, 'perm': [2, 0, 1]}]
     """
     k = len(word)
     if k < 2:
-        return ()
+        return FormalSum()
     alive = [True] * k
     j = 0
     while j < k - 1:
@@ -167,9 +165,4 @@ def cancellation_report(word: Perm) -> tuple[tuple[int, Perm], ...]:
             j += 2
         else:
             j += 1
-    acc: dict[Perm, int] = {}
-    for j in range(k):
-        if alive[j]:
-            f = face(word, j)
-            acc[f] = acc.get(f, 0) + (-1) ** j
-    return tuple(sorted(((c, p) for p, c in acc.items() if c != 0), key=lambda t: t[1]))
+    return FormalSum.from_terms(((-1) ** j, face(word, j)) for j in range(k) if alive[j])

@@ -88,10 +88,6 @@ class Obligation:
             "holds": self.holds,
         }
 
-    def to_csv_row(self) -> str:
-        params = ";".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"{self.claim},{params},{self.inequality.replace(',', ';')},{self.holds}"
-
 
 def _obligation(claim: str, params: dict, lhs: int, rhs: int) -> Obligation:
     return Obligation(claim, params, f"{lhs} >= {rhs}", lhs >= rhs)

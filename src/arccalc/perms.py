@@ -13,7 +13,7 @@ Composition convention: ``compose(a, b)`` applies ``b`` first, so
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -159,19 +159,17 @@ class FormalSum:
     """
     Integer combination of equal-degree permutations.
 
-    ``terms`` is canonical: sorted by word, no repeated word, no zero
-    coefficient.  Build values with :meth:`from_terms`, which normalizes.
+    ``coeffs`` maps each word to a nonzero coefficient, so two sums are equal
+    when their dicts are, whatever the order of the words.  :meth:`from_terms`
+    merges repeated words and drops zeros.  A sum holds a dict, so it is unhashable.
     """
 
-    terms: tuple[tuple[int, Perm], ...] = ()
+    coeffs: dict[Perm, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        words = [p for _, p in self.terms]
-        if any(c == 0 for c, _ in self.terms):
-            raise ValueError("zero coefficient in canonical form")
-        if words != sorted(set(words)):
-            raise ValueError("terms not in canonical sorted form")
-        if len({len(p) for p in words}) > 1:
+        if 0 in self.coeffs.values():
+            raise ValueError("zero coefficient in formal sum")
+        if len({len(p) for p in self.coeffs}) > 1:
             raise ValueError("mixed degrees in formal sum")
 
     @classmethod
@@ -180,34 +178,30 @@ class FormalSum:
         for c, p in pairs:
             p = tuple(p)
             acc[p] = acc.get(p, 0) + c
-        return cls(tuple(sorted(((c, p) for p, c in acc.items() if c != 0), key=lambda t: t[1])))
+        return cls({p: c for p, c in acc.items() if c})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def coefficient(self, p: Sequence[int]) -> int:
-        p = tuple(p)
-        for c, q in self.terms:
-            if q == p:
-                return c
-        return 0
+        return self.coeffs.get(tuple(p), 0)
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        return FormalSum.from_terms(self.terms + other.terms)
+        return FormalSum.from_terms((c, p) for s in (self, other) for p, c in s.coeffs.items())
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         return self + (-other)
 
     def __neg__(self) -> "FormalSum":
-        return FormalSum(tuple((-c, p) for c, p in self.terms))
+        return self.scale(-1)
 
     def scale(self, c: int) -> "FormalSum":
         if c == 0:
             return FormalSum()
-        return FormalSum(tuple((c * k, p) for k, p in self.terms))
+        return FormalSum({p: c * k for p, k in self.coeffs.items()})
 
     def to_json(self) -> list[dict]:
-        return [{"coeff": c, "perm": list(p)} for c, p in sorted(self.terms, key=lambda t: t[1])]
+        return [{"coeff": c, "perm": list(p)} for p, c in sorted(self.coeffs.items())]
 
     @classmethod
     def from_json(cls, data: Iterable[dict]) -> "FormalSum":
@@ -222,10 +216,10 @@ def boundary(a: Sequence[int]) -> FormalSum:
     """
     Alternating sum of faces, as a normalized :class:`FormalSum`.
 
-    >>> boundary((0, 2, 1)).terms
-    ((1, (1, 0)),)
-    >>> boundary((1, 2, 0)).terms
-    ((1, (0, 1)),)
+    >>> boundary((0, 2, 1)).coeffs
+    {(1, 0): 1}
+    >>> boundary((1, 2, 0)).coeffs
+    {(0, 1): 1}
     >>> boundary(identity(4)).is_zero()
     True
     """
@@ -236,12 +230,12 @@ def boundary(a: Sequence[int]) -> FormalSum:
 
 def boundary_of_sum(s: FormalSum) -> FormalSum:
     return FormalSum.from_terms(
-        (c * k, f) for c, p in s.terms for k, f in boundary(p).terms
+        (c * k, f) for p, c in s.coeffs.items() for f, k in boundary(p).coeffs.items()
     )
 
 
 def homotopy_d_on_sum(s: FormalSum) -> FormalSum:
-    return FormalSum.from_terms((c, hat(p)) for c, p in s.terms)
+    return FormalSum.from_terms((c, hat(p)) for p, c in s.coeffs.items())
 
 
 def all_perms(k: int) -> Iterator[Perm]:

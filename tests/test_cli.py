@@ -4,6 +4,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 CLI = [sys.executable, "-m", "arccalc.cli"]
 
 
@@ -47,6 +49,34 @@ class TestExitCodes:
     def test_homotopy_sampling_needs_positive_samples(self):
         assert run("homotopy", "--max-degree", "2", "--sample-degree", "7").returncode == 2
         assert run("homotopy", "--max-degree", "2", "--samples", "-5").returncode == 2
+
+    def test_homotopy_sample_degree_below_two_is_usage_error(self):
+        res = run("homotopy", "--max-degree", "2", "--samples", "3", "--sample-degree", "1")
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+
+    def test_homotopy_validates_before_checking(self, monkeypatch):
+        from arccalc import cli, complexes
+
+        def no_check(max_degree):
+            raise AssertionError("a check ran before the arguments were validated")
+
+        monkeypatch.setattr(complexes, "verify_homotopy", no_check)
+        for extra in (["--samples", "3", "--sample-degree", "9"], ["--genus", "1", "--side", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["homotopy", "--max-degree", "8", *extra])
+            assert exc.value.code == 2, extra
+
+    def test_homology_reporting_no_degree_is_usage_error(self):
+        # the report covers degrees 2 .. max-degree - 1
+        for cap in ("1", "2"):
+            assert run("homology", "--genus", "2", "--side", "1", "--max-degree", cap).returncode == 2
+
+    def test_e1_d1_without_a_column_to_check_is_usage_error(self):
+        assert run("e1", "--ambient", "3,2", "--side", "1", "--max-p", "1", "--with-d1").returncode == 2
+
+    def test_e1_max_p_is_degree_capped(self):
+        assert run("e1", "--ambient", "4,2", "--side", "2", "--max-p", "10").returncode == 2
 
     def test_describe_exits_zero(self):
         assert run("--describe").returncode == 0

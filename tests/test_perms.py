@@ -24,6 +24,18 @@ perms = st.integers(min_value=1, max_value=8).flatmap(
 )
 
 
+@st.composite
+def signed_word_lists(draw):
+    """Two lists of (coeff, word) pairs of one degree, with repeated words and zero sums."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    pool = draw(st.lists(st.permutations(list(range(k))).map(tuple), min_size=1, max_size=4))
+    pairs = st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(pool)), max_size=12)
+    a, b = draw(pairs), draw(pairs)
+    # a prefix of a entered again with opposite signs sums to zero
+    a += [(-c, w) for c, w in a[: draw(st.integers(0, len(a)))]]
+    return a, b
+
+
 def same_degree_pair():
     return st.integers(min_value=1, max_value=8).flatmap(
         lambda k: st.tuples(
@@ -142,8 +154,8 @@ class TestFaces:
 
 class TestBoundary:
     def test_cancellation_examples(self):
-        assert boundary((0, 2, 1)).terms == ((1, (1, 0)),)
-        assert boundary((1, 2, 0)).terms == ((1, (0, 1)),)
+        assert boundary((0, 2, 1)).coeffs == {(1, 0): 1}
+        assert boundary((1, 2, 0)).coeffs == {(0, 1): 1}
 
     def test_identity_boundary_parity(self):
         # identity of degree g+1: zero when g is odd, identity when g is even
@@ -180,7 +192,7 @@ class TestHomotopy:
 class TestFormalSum:
     def test_normalization_merges_and_drops(self):
         s = FormalSum.from_terms([(1, (0, 1)), (2, (0, 1)), (-3, (0, 1)), (5, (1, 0))])
-        assert s.terms == ((5, (1, 0)),)
+        assert s.coeffs == {(1, 0): 5}
         assert s.coefficient((0, 1)) == 0
 
     def test_mixed_degree_rejected(self):
@@ -202,4 +214,16 @@ class TestFormalSum:
             {"coeff": -1, "perm": [0, 1, 2]},
             {"coeff": 2, "perm": [1, 0, 2]},
         ]
+        assert FormalSum.from_json(data) == s
+
+    @given(signed_word_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_sums_ignore_word_order(self, ab):
+        a, b = ab
+        s = FormalSum.from_terms(a)
+        assert s == FormalSum.from_terms(reversed(a))
+        assert s + FormalSum.from_terms(b) == FormalSum.from_terms(a + b)
+        assert (s - s).is_zero()
+        data = s.to_json()
+        assert [d["perm"] for d in data] == sorted(d["perm"] for d in data)
         assert FormalSum.from_json(data) == s
