@@ -36,9 +36,9 @@ DEFAULT_DEGREE_CAP = 7
 MAX_DEGREE_CAP = 8  # factorial growth; degree 9 is out of the supported range
 
 
-def _check_cap(max_degree: int) -> None:
-    if not 1 <= max_degree <= MAX_DEGREE_CAP:
-        raise ValueError(f"max_degree must be in [1, {MAX_DEGREE_CAP}], got {max_degree}")
+def _check_cap(max_degree: int, low: int = 1) -> None:
+    if not low <= max_degree <= MAX_DEGREE_CAP:
+        raise ValueError(f"max_degree must be in [{low}, {MAX_DEGREE_CAP}], got {max_degree}")
 
 
 def face_matrix(words: Sequence[Perm], index: Mapping[Perm, int]) -> SparseIntMatrix:
@@ -185,11 +185,13 @@ def exactness_report(g: int, side: int, max_degree: int | None = None) -> list[d
     degrees where exactness is guaranteed (positions ``2 .. g-1+side``; the
     guarantee covers the range just below the point where realizability
     starts cutting the basis down).  Out-of-range rows are informational.
+    The rows cover degrees ``2 .. max_degree - 1``, so ``max_degree`` below
+    3 would check nothing and raises ``ValueError``.
     """
     top = g + side - 1
     if max_degree is None:
         max_degree = min(MAX_DEGREE_CAP, max(DEFAULT_DEGREE_CAP, top + 1))
-    _check_cap(max_degree)
+    _check_cap(max_degree, 3)
     c = quotient_complex(g, side, max_degree)
     rows = []
     for d in range(2, max_degree):

@@ -2,9 +2,12 @@
 Sparse matrices over the integers and their Smith normal form.
 
 Arithmetic is exact (Python integers), so invariant factors are trustworthy
-at any coefficient size.  Pivoting prefers unit entries with least fill-in;
-on the boundary matrices this package produces, pivots are almost always
-unit, so coefficient growth never materializes in practice.
+at any coefficient size.  Elimination walks the rows in index order and
+pivots each on its unit entry in the largest column; on the boundary
+matrices of lexicographic bases that this package produces, that is an
+echelon order with little fill-in, every pivot is unit, and coefficient
+growth never materializes in practice.  Other matrices fall back to any
+unit entry, or else an entry of least absolute value.
 """
 
 from __future__ import annotations
@@ -149,68 +152,38 @@ class _Eliminator:
 
     def __init__(self, m: SparseIntMatrix, want_transforms: bool):
         self.nrows = m.nrows
-        self.ncols = m.ncols
         self.rows: list[dict[int, int]] = [dict(r) for r in m._rows]
         self.col_rows: list[set[int]] = [set() for _ in range(m.ncols)]
         for i, row in enumerate(self.rows):
             for j in row:
                 self.col_rows[j].add(i)
-        # rows grouped by current length, so the pivot search starts at the
-        # sparsest rows instead of scanning every entry
         self.done_rows: set[int] = set()
-        self.row_bucket: list[int] = [len(r) for r in self.rows]
-        self.buckets: dict[int, dict[int, None]] = {}
-        for i, length in enumerate(self.row_bucket):
-            self.buckets.setdefault(length, {})[i] = None
+        self.cursor = 0
         self.u_rows: list[dict[int, int]] | None = None
         self.vt_rows: list[dict[int, int]] | None = None
         if want_transforms:
             self.u_rows = [{i: 1} for i in range(m.nrows)]
             self.vt_rows = [{j: 1} for j in range(m.ncols)]
 
-    def _rebucket(self, i: int) -> None:
-        if i in self.done_rows:
-            return
-        length = len(self.rows[i])
-        old = self.row_bucket[i]
-        if length != old:
-            bucket = self.buckets[old]
-            del bucket[i]
-            if not bucket:
-                del self.buckets[old]
-            self.buckets.setdefault(length, {})[i] = None
-            self.row_bucket[i] = length
-
-    def retire_row(self, i: int) -> None:
-        bucket = self.buckets[self.row_bucket[i]]
-        del bucket[i]
-        if not bucket:
-            del self.buckets[self.row_bucket[i]]
-        self.done_rows.add(i)
-
     # -- elementary operations; each keeps col_rows and transforms in sync --
 
     def row_op(self, dst: int, src: int, c: int) -> None:
         # row dst += c * row src
-        rows, col_rows = self.rows, self.col_rows
-        rdst, rsrc = rows[dst], rows[src]
-        for j, v in rsrc.items():
-            new = rdst.get(j, 0) + c * v
-            if new:
-                rdst[j] = new
+        rdst, col_rows = self.rows[dst], self.col_rows
+        for j, v in self.rows[src].items():
+            # col_rows changes only where an entry appears or disappears
+            if j not in rdst:
+                rdst[j] = c * v
                 col_rows[j].add(dst)
             else:
-                rdst.pop(j, None)
-                col_rows[j].discard(dst)
-        self._rebucket(dst)
-        if self.u_rows is not None:
-            udst, usrc = self.u_rows[dst], self.u_rows[src]
-            for j, v in usrc.items():
-                new = udst.get(j, 0) + c * v
+                new = rdst[j] + c * v
                 if new:
-                    udst[j] = new
+                    rdst[j] = new
                 else:
-                    udst.pop(j, None)
+                    del rdst[j]
+                    col_rows[j].discard(dst)
+        if self.u_rows is not None:
+            _add_multiple(self.u_rows[dst], self.u_rows[src], c)
 
     def col_op(self, dst: int, src: int, c: int) -> None:
         # col dst += c * col src
@@ -224,15 +197,8 @@ class _Eliminator:
             else:
                 row.pop(dst, None)
                 col_rows[dst].discard(i)
-            self._rebucket(i)
         if self.vt_rows is not None:
-            vdst, vsrc = self.vt_rows[dst], self.vt_rows[src]
-            for i, v in vsrc.items():
-                new = vdst.get(i, 0) + c * v
-                if new:
-                    vdst[i] = new
-                else:
-                    vdst.pop(i, None)
+            _add_multiple(self.vt_rows[dst], self.vt_rows[src], c)
 
     # -- pivot clearing --
 
@@ -245,7 +211,7 @@ class _Eliminator:
         (or ``(pi, j)``) and clearing starts over from there.  Terminates
         because the pivot's absolute value strictly drops at every move.
         """
-        rows, col_rows = self.rows, self.col_rows
+        rows, col_rows, vt_rows = self.rows, self.col_rows, self.vt_rows
         while True:
             v = rows[pi][pj]
             for i in list(col_rows[pj]):
@@ -258,40 +224,51 @@ class _Eliminator:
                     pi = i
                     break
             else:
-                for j in list(rows[pi]):
+                # column pj now holds only the pivot, so the column operation
+                # "col j -= q * col pj" changes row pi alone: do it in place
+                row = rows[pi]
+                for j in list(row):
                     if j == pj:
                         continue
-                    q = rows[pi][j] // v
-                    if q:
-                        self.col_op(j, pj, -q)
-                    if j in rows[pi]:
+                    q, r = divmod(row[j], v)
+                    if vt_rows is not None and q:
+                        _add_multiple(vt_rows[j], vt_rows[pj], -q)
+                    if r:
+                        row[j] = r
                         pj = j
                         break
+                    del row[j]
+                    col_rows[j].discard(pi)
                 else:
                     return pi, pj
 
     def find_pivot(self) -> tuple[int, int] | None:
         """
-        Nonzero entry preferring unit value, then small value, then least
-        fill-in.  Rows are visited sparsest first, and the search stops at
-        the first unit entry found there (its fill-in is near-minimal), so a
-        full scan only happens when no unit entry exists.
+        Rows in index order first: the cursor only moves forward, and each
+        row it reaches pivots on its unit entry in the largest column.  On a
+        boundary matrix of lexicographic bases this is an echelon order with
+        little fill-in.  Once the cursor has passed the last row, a scan of
+        the rows not yet retired picks any unit entry, or else an entry of
+        least absolute value; it covers non-unit matrices and rows that
+        gained a unit entry after the cursor passed them.
         """
+        rows, done = self.rows, self.done_rows
+        # a unit pivot never moves, so no row ahead of the cursor is retired
+        while self.cursor < self.nrows:
+            i = self.cursor
+            self.cursor += 1
+            units = [j for j, v in rows[i].items() if v == 1 or v == -1]
+            if units:
+                return i, max(units)
         best = None
-        best_key = None
-        rows, col_rows = self.rows, self.col_rows
-        for length in sorted(self.buckets):
-            if length == 0:
+        for i, row in enumerate(rows):
+            if i in done:
                 continue
-            for i in self.buckets[length]:
-                row = rows[i]
-                for j, v in row.items():
-                    key = (abs(v) != 1, abs(v), len(col_rows[j]))
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = (i, j)
-                if best_key[0] is False:
-                    return best
+            for j, v in row.items():
+                if v == 1 or v == -1:
+                    return i, j
+                if best is None or abs(v) < abs(rows[best[0]][best[1]]):
+                    best = (i, j)
         return best
 
 
@@ -320,7 +297,7 @@ def snf(m: SparseIntMatrix, want_transforms: bool = False) -> SNFResult:
             break
         pi, pj = e.clear_pivot(*pick)
         pivots.append((pi, pj))
-        e.retire_row(pi)
+        e.done_rows.add(pi)
 
     # A unit pivot divides every other pivot, so only non-unit pivots can
     # break the divisibility chain: mix each such pair until none does.  The
@@ -351,6 +328,16 @@ def snf(m: SparseIntMatrix, want_transforms: bool = False) -> SNFResult:
     vt = SparseIntMatrix(m.ncols, m.ncols)
     vt._rows = [e.vt_rows[c] for c in _pivots_first([c for _, c in pivots], m.ncols)]
     return SNFResult(factors, len(factors), u, vt.transpose())
+
+
+def _add_multiple(dst: dict[int, int], src: dict[int, int], c: int) -> None:
+    """``dst += c * src`` on sparse rows, dropping entries that cancel."""
+    for k, v in src.items():
+        new = dst.get(k, 0) + c * v
+        if new:
+            dst[k] = new
+        else:
+            dst.pop(k, None)
 
 
 def _pivots_first(lines: list[int], n: int) -> list[int]:

@@ -16,6 +16,7 @@ from arccalc.complexes import (
     verify_homotopy_sampled,
     verify_quotient_homotopy,
 )
+from arccalc.intmat import snf
 from arccalc.perms import all_perms, identity
 from arccalc.surfaces import realizable_perms
 
@@ -68,6 +69,22 @@ class TestHomology:
             h = homology(c, d)
             assert h.trivial, (d, h)
 
+    def test_full_ranks_count_the_contraction_pairs(self):
+        # hat pairs each word whose leading run of fixed points has even
+        # length with a word one degree up, through a unit incidence, so
+        # rank d_{d+1} is the number of such words in S_d
+        def leading_run(word):
+            return next((i for i, x in enumerate(word) if x != i), len(word))
+
+        c = perm_complex(7)
+        counts = []
+        for d in range(1, 7):
+            res = snf(c.boundary_matrix(d + 1))
+            assert all(f == 1 for f in res.invariant_factors)
+            assert res.rank == sum(leading_run(w) % 2 == 0 for w in all_perms(d))
+            counts.append(res.rank)
+        assert counts == [0, 2, 4, 20, 100, 620]
+
     def test_single_degree_betti_is_dimension(self):
         from arccalc.complexes import ChainComplex
 
@@ -100,8 +117,6 @@ class TestHomology:
 
     def test_rank_bound(self):
         c = quotient_complex(3, 1, 6)
-        from arccalc.intmat import snf
-
         for d in range(2, 6):
             r_out = snf(c.boundary_matrix(d)).rank
             r_in = snf(c.boundary_matrix(d + 1)).rank
@@ -121,6 +136,11 @@ class TestHomology:
         report = exactness_report(2, 1, 6)
         outside = {r["degree"]: r for r in report if not r["guaranteed"]}
         assert not outside[4]["trivial"]
+
+    @pytest.mark.parametrize("max_degree", [1, 2])
+    def test_report_checking_no_degree_raises(self, max_degree):
+        with pytest.raises(ValueError):
+            exactness_report(2, 1, max_degree)
 
     def test_report_json_fields(self):
         rows = exactness_report(2, 2, 5)

@@ -43,6 +43,19 @@ def unimodular(draw, n):
     return a
 
 
+@st.composite
+def torsion_heavy_products(draw):
+    """M = P D Q with unimodular P, Q: the invariant factors are those of the
+    torsion-heavy diagonal D, hidden behind large entries."""
+    n = draw(st.integers(min_value=1, max_value=15))
+    m = draw(st.integers(min_value=1, max_value=15))
+    diag = draw(
+        st.lists(st.sampled_from(TORSION_DIAGONAL), min_size=min(n, m), max_size=min(n, m))
+    )
+    d = [[diag[i] if i == j else 0 for j in range(m)] for i in range(n)]
+    return dense_matmul(dense_matmul(draw(unimodular(n)), d), draw(unimodular(m)))
+
+
 def check_with_transforms(dense, expected):
     m = from_dense(dense)
     assert snf(m).invariant_factors == expected
@@ -110,6 +123,9 @@ class TestSNFExamples:
             pytest.param([[2], [3]], (1,), id="to-another-row"),
             pytest.param([[2, 3]], (1,), id="to-another-column"),
             pytest.param([[2, 3], [3, 2]], (1, 5), id="no-unit-entry"),
+            # row 0 has no unit entry when the cursor passes it, and becomes
+            # [-1, 0] only once row 1's pivot clears column 1
+            pytest.param([[2, 3], [1, 1]], (1, 1), id="unit-appears-behind-cursor"),
         ],
     )
     def test_pivot_moves(self, dense, expected):
@@ -172,18 +188,10 @@ class TestSNFAgainstDenseReferee:
         sparse = from_dense(dense)
         assert snf(sparse).invariant_factors == tuple(dense_invariant_factors(dense))
 
-    @given(st.data())
+    @given(torsion_heavy_products())
     @settings(deadline=None, max_examples=40)
-    def test_property_torsion_heavy_products(self, data):
-        # M = P D Q with unimodular P, Q: the invariant factors are those of
-        # the torsion-heavy diagonal D, hidden behind large entries
-        n = data.draw(st.integers(min_value=1, max_value=15))
-        m = data.draw(st.integers(min_value=1, max_value=15))
-        diag = data.draw(
-            st.lists(st.sampled_from(TORSION_DIAGONAL), min_size=min(n, m), max_size=min(n, m))
-        )
-        d = [[diag[i] if i == j else 0 for j in range(m)] for i in range(n)]
-        dense = dense_matmul(dense_matmul(data.draw(unimodular(n)), d), data.draw(unimodular(m)))
+    def test_property_torsion_heavy_products(self, dense):
+        n, m = len(dense), len(dense[0])
         sparse = from_dense(dense)
         expected = tuple(dense_invariant_factors(dense))
         assert snf(sparse).invariant_factors == expected
@@ -192,6 +200,19 @@ class TestSNFAgainstDenseReferee:
         assert (res.U @ sparse @ res.V) == res.diagonal_matrix(n, m)
         assert abs(bareiss_det(res.U)) == 1
         assert abs(bareiss_det(res.V)) == 1
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_property_pivot_order_independent(self, data):
+        # the pivot order follows row and column indices, so transposing or
+        # permuting the matrix changes which pivots are taken, not the factors
+        dense = data.draw(torsion_heavy_products())
+        expected = tuple(dense_invariant_factors(dense))
+        row_order = data.draw(st.permutations(range(len(dense))))
+        col_order = data.draw(st.permutations(range(len(dense[0]))))
+        permuted = [[dense[i][j] for j in col_order] for i in row_order]
+        for variant in (dense, [list(c) for c in zip(*dense)], permuted):
+            assert snf(from_dense(variant)).invariant_factors == expected
 
     def test_chain_condition(self):
         rng = random.Random(7)
