@@ -149,7 +149,7 @@ def cancellation_report(word: Perm) -> FormalSum:
     opposite signs and cancels.  The survivors, summed per face word, must
     equal the nonzero entries of the word's first-differential column.
 
-    >>> cancellation_report((0, 2, 1)).coeffs
+    >>> dict(cancellation_report((0, 2, 1)).coeffs)
     {(1, 0): 1}
     >>> cancellation_report((0, 3, 1, 2)).to_json()
     [{'coeff': -1, 'perm': [0, 1, 2]}, {'coeff': 1, 'perm': [2, 0, 1]}]

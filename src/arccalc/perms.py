@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Perm = tuple[int, ...]
 
@@ -160,17 +161,21 @@ class FormalSum:
     Integer combination of equal-degree permutations.
 
     ``coeffs`` maps each word to a nonzero coefficient, so two sums are equal
-    when their dicts are, whatever the order of the words.  :meth:`from_terms`
-    merges repeated words and drops zeros.  A sum holds a dict, so it is unhashable.
+    when their mappings are, whatever the order of the words.  :meth:`from_terms`
+    merges repeated words and drops zeros.  ``coeffs`` is a read-only view of
+    a copy of the mapping passed in, so no write can bypass those checks; a
+    sum is unhashable.
     """
 
-    coeffs: dict[Perm, int] = field(default_factory=dict)
+    coeffs: Mapping[Perm, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if 0 in self.coeffs.values():
+        coeffs = dict(self.coeffs)
+        if 0 in coeffs.values():
             raise ValueError("zero coefficient in formal sum")
-        if len({len(p) for p in self.coeffs}) > 1:
+        if len(set(map(len, coeffs))) > 1:
             raise ValueError("mixed degrees in formal sum")
+        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
 
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[int, Sequence[int]]]) -> "FormalSum":
@@ -216,9 +221,9 @@ def boundary(a: Sequence[int]) -> FormalSum:
     """
     Alternating sum of faces, as a normalized :class:`FormalSum`.
 
-    >>> boundary((0, 2, 1)).coeffs
+    >>> dict(boundary((0, 2, 1)).coeffs)
     {(1, 0): 1}
-    >>> boundary((1, 2, 0)).coeffs
+    >>> dict(boundary((1, 2, 0)).coeffs)
     {(0, 1): 1}
     >>> boundary(identity(4)).is_zero()
     True

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perms import Perm, all_perms, as_perm, compose, cycle_count, hat, inverse, rotation
+from .perms import Perm, all_perms, as_perm, cycle_count, hat, inverse
 
 SIDES = (1, 2)
 
@@ -73,11 +73,13 @@ class ArcClass:
 
 @lru_cache(maxsize=None)
 def _neighborhood_boundary(perm: Perm, side: int) -> int:
-    # side 1 reads the arcs through hat, which prepends a fixed point
+    # side 1 reads the arcs through hat, which prepends a fixed point; the
+    # count is that of rot . w^-1 . rot^-1 . w, whose entry at x is built
+    # from y = w(x) in one pass
     w = hat(perm) if side == 1 else perm
-    rot = rotation(len(w))
-    word = compose(compose(rot, inverse(w)), compose(inverse(rot), w))
-    return cycle_count(word) + side
+    k = len(w)
+    inv = inverse(w)
+    return cycle_count([(inv[(y - 1) % k] + 1) % k for y in w]) + side
 
 
 def boundary_of_neighborhood(a: ArcClass) -> int:
@@ -92,6 +94,21 @@ def boundary_of_neighborhood(a: ArcClass) -> int:
     return _neighborhood_boundary(a.perm, a.side)
 
 
+def _genus(perm: Perm, side: int, nb: int) -> int:
+    """Simplex genus of ``perm`` on ``side`` from its boundary count ``nb``."""
+    num = len(perm) + 2 - nb
+    if num < 0 or num % 2:
+        raise ValueError(f"parity violation for {ArcClass(perm, side)}")
+    return num // 2
+
+
+def _realizable(perm: Perm, side: int, g: int, nb: int) -> bool:
+    """The realizability criterion, from the boundary count ``nb``."""
+    if g < 0:
+        raise ValueError("genus must be >= 0")
+    return _genus(perm, side, nb) >= len(perm) + 1 - g - side
+
+
 def simplex_genus(a: ArcClass) -> int:
     """
     Genus of the thickened arc system; for ``p`` arcs this is
@@ -102,10 +119,7 @@ def simplex_genus(a: ArcClass) -> int:
     >>> simplex_genus(ArcClass((1, 2, 0), 2))
     0
     """
-    num = a.arc_count + 2 - boundary_of_neighborhood(a)
-    if num < 0 or num % 2:
-        raise ValueError(f"parity violation for {a}")
-    return num // 2
+    return _genus(a.perm, a.side, boundary_of_neighborhood(a))
 
 
 def realizable(a: ArcClass, g: int) -> bool:
@@ -118,9 +132,7 @@ def realizable(a: ArcClass, g: int) -> bool:
     >>> realizable(ArcClass((0, 1, 2), 1), 1)
     False
     """
-    if g < 0:
-        raise ValueError("genus must be >= 0")
-    return simplex_genus(a) >= a.arc_count + 1 - g - a.side
+    return _realizable(a.perm, a.side, g, boundary_of_neighborhood(a))
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +147,10 @@ def realizable_perms(p: int, side: int, g: int) -> tuple[Perm, ...]:
         raise ValueError("side must be 1 or 2")
     if p <= g - 1 + side:
         return tuple(all_perms(p))
-    return tuple(w for w in all_perms(p) if realizable(ArcClass(w, side), g))
+    # the words of all_perms are permutations already: no ArcClass to check them
+    return tuple(
+        w for w in all_perms(p) if _realizable(w, side, g, _neighborhood_boundary(w, side))
+    )
 
 
 def cut_surface(ambient: SurfaceType, a: ArcClass) -> SurfaceType:

@@ -1,11 +1,16 @@
 import os
+import random
 import subprocess
 import sys
+from math import factorial
 
 import pytest
 
 import arccalc
 from arccalc.complexes import (
+    _face_rank_table,
+    _face_ranks,
+    _rank,
     exactness_report,
     face_matrix,
     homology,
@@ -16,8 +21,8 @@ from arccalc.complexes import (
     verify_homotopy_sampled,
     verify_quotient_homotopy,
 )
-from arccalc.intmat import snf
-from arccalc.perms import all_perms, identity
+from arccalc.intmat import SparseIntMatrix, snf
+from arccalc.perms import all_perms, face, identity
 from arccalc.surfaces import realizable_perms
 
 
@@ -56,10 +61,59 @@ class TestConstruction:
         with pytest.raises(ValueError):
             face_matrix([(0, 2, 1)], {(0, 1): 0})
 
+    def test_words_of_another_degree_raise(self):
+        index = {(0, 1): 0, (1, 0): 1}
+        with pytest.raises(ValueError):
+            face_matrix([(0, 2, 1), (1, 0)], index)
+        with pytest.raises(ValueError):
+            face_matrix([(0, 2, 1)], {**index, (0,): 2})
+        with pytest.raises(ValueError):
+            face_matrix([(0, 2, 2)], index)
+
     def test_basis_is_lex_sorted(self):
         c = quotient_complex(2, 2, 5)
         for d in range(1, 6):
             assert list(c.basis(d)) == sorted(c.basis(d))
+
+
+def tuple_face_matrix(words, index):
+    """The face matrix from face tuples: the referee of the rank route."""
+    m = SparseIntMatrix(len(index), len(words))
+    for c, w in enumerate(words):
+        for j in range(len(w)):
+            m.add(index[face(w, j)], c, (-1) ** j)
+    return m
+
+
+class TestFaceRanks:
+    def test_ranks_match_tuple_faces_exhaustively(self):
+        # every face of every word of S_2..S_8, against the position of the
+        # tuple face in the lexicographic enumeration of S_{d-1}
+        for d in range(2, 9):
+            position = {w: r for r, w in enumerate(all_perms(d - 1))}
+            table = _face_rank_table(d - 1)
+            unit = factorial(d - 1)
+            for r, w in enumerate(all_perms(d)):
+                assert _rank(w) == r
+                ranks = _face_ranks(w, r % unit, table)
+                assert ranks == [position[face(w, j)] for j in range(d)], w
+
+    @pytest.mark.parametrize(
+        "d, g, side",
+        [(5, None, None), (7, None, None), (7, 3, 1), (8, 4, 2)],
+        ids=["S5", "S7", "g3-side1-d7", "g4-side2-d8"],
+    )
+    def test_any_column_order_and_any_index(self, d, g, side):
+        # a column's rank comes from its word, never from its position
+        if g is None:
+            words, targets = list(all_perms(d)), list(all_perms(d - 1))
+        else:
+            words, targets = list(realizable_perms(d, side, g)), list(realizable_perms(d - 1, side, g))
+        words.reverse()
+        random.Random(d).shuffle(targets)
+        index = {w: i for i, w in enumerate(targets)}
+        got = face_matrix(words, index)
+        assert sorted(got.entries()) == sorted(tuple_face_matrix(words, index).entries())
 
 
 class TestHomology:

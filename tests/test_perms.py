@@ -199,6 +199,18 @@ class TestFormalSum:
         with pytest.raises(ValueError):
             FormalSum.from_terms([(1, (0, 1)), (1, (0, 1, 2))])
 
+    def test_coeffs_are_read_only(self):
+        # a write into coeffs would bypass the zero and mixed-degree checks
+        s = singleton((0, 1))
+        with pytest.raises(TypeError):
+            s.coeffs[(1, 0)] = 0
+        with pytest.raises(TypeError):
+            del s.coeffs[(0, 1)]
+        given = {(0, 1): 2}
+        t = FormalSum(given)
+        given[(1, 0)] = 0
+        assert t.coeffs == {(0, 1): 2}
+
     def test_algebra(self):
         a = singleton((0, 1))
         b = singleton((1, 0))

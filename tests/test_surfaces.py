@@ -1,7 +1,8 @@
 import pytest
 
-from arccalc.perms import all_perms, compose, face, identity, rotation
+from arccalc.perms import all_perms, compose, cycle_count, face, hat, identity, inverse, rotation
 from arccalc.surfaces import (
+    _neighborhood_boundary,
     ArcClass,
     SurfaceType,
     boundary_of_neighborhood,
@@ -61,6 +62,16 @@ class TestNeighborhoodBoundary:
         a = ArcClass((1, 0), 1)
         assert boundary_of_neighborhood(a) == boundary_of_neighborhood(ArcClass((1, 0), 1))
 
+    def test_one_pass_formula_matches_its_definition(self):
+        # the boundary count is that of rot . w^-1 . rot^-1 . w, plus side
+        for p in range(1, 8):
+            for perm in all_perms(p):
+                for side in (1, 2):
+                    w = hat(perm) if side == 1 else perm
+                    rot = rotation(len(w))
+                    word = compose(compose(rot, inverse(w)), compose(inverse(rot), w))
+                    assert _neighborhood_boundary(perm, side) == cycle_count(word) + side
+
 
 class TestSimplexGenus:
     def test_examples(self):
@@ -119,6 +130,13 @@ class TestRealizability:
                 for p in range(1, 6):
                     full = len(realizable_perms(p, side, g)) == len(list(all_perms(p)))
                     assert full == (p <= g - 1 + side)
+
+    def test_filter_matches_the_criterion_on_arc_classes(self):
+        for g in range(2, 6):
+            for side in (1, 2):
+                for p in range(1, 8):
+                    expected = tuple(w for w in all_perms(p) if realizable(ArcClass(w, side), g))
+                    assert realizable_perms(p, side, g) == expected
 
     def test_face_closed(self):
         for g in range(0, 7):
