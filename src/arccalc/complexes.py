@@ -38,7 +38,6 @@ from .perms import (
     boundary_of_sum,
     face,
     hat,
-    homotopy_d_on_sum,
     identity,
     singleton,
 )
@@ -105,7 +104,8 @@ def face_matrix(words: Sequence[Perm], index: Mapping[Perm, int]) -> SparseIntMa
     """
     Signed face matrix: column ``c`` is the alternating face sum of
     ``words[c]``, each face in row ``index[face]``.  A face missing from
-    ``index`` raises ``ValueError``.
+    ``index``, or a row number outside ``range(len(index))``, raises
+    ``ValueError``.
 
     Faces are found by rank, not as tuples.  If ``w`` has rank ``r`` in S_k
     and ``t = r mod (k-1)!``, face 0 of ``w`` has rank ``t`` in S_{k-1}, and
@@ -127,7 +127,12 @@ def face_matrix(words: Sequence[Perm], index: Mapping[Perm, int]) -> SparseIntMa
     for f, i in index.items():
         if len(f) != k - 1:
             raise ValueError(f"index word {f} is not of degree {k - 1}")
+        # each row number is checked here, once, so the entries below go
+        # straight into the row dicts
+        if not 0 <= i < m.nrows:
+            raise ValueError(f"row {i} of index word {f} is outside {m.nrows} rows")
         rows[_rank(f)] = i
+    out = m._rows
     table = _face_rank_table(k - 1)
     signs = [(-1) ** j for j in range(k)]
     for c, word in enumerate(words):
@@ -143,7 +148,7 @@ def face_matrix(words: Sequence[Perm], index: Mapping[Perm, int]) -> SparseIntMa
             col[i] = col.get(i, 0) + sign
         for i, v in col.items():
             if v:
-                m.set(i, c, v)
+                out[i][c] = v
     return m
 
 
@@ -306,8 +311,21 @@ class HomotopyReport:
 
 
 def _contracts(word: Perm) -> bool:
-    lhs = boundary(hat(word)) + homotopy_d_on_sum(boundary(word))
-    return lhs == singleton(word)
+    """
+    Whether boundary-of-hat plus hat-of-boundary sends ``word`` to itself.
+    Every face is taken by the tuple :func:`~arccalc.perms.face`, of
+    ``hat(word)`` and of ``word``, and the signed terms of both sides are
+    summed in one dict.
+    """
+    lifted = hat(word)
+    acc: dict[Perm, int] = {}
+    for j in range(len(lifted)):
+        f = face(lifted, j)
+        acc[f] = acc.get(f, 0) + (-1) ** j
+    for j in range(len(word)):
+        f = hat(face(word, j))
+        acc[f] = acc.get(f, 0) + (-1) ** j
+    return {f: c for f, c in acc.items() if c} == {word: 1}
 
 
 def verify_homotopy(max_degree: int) -> HomotopyReport:

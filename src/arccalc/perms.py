@@ -126,7 +126,7 @@ def hat(t: Sequence[int]) -> Perm:
     >>> cycle_count(hat((1, 0))) == cycle_count((1, 0)) + 1
     True
     """
-    return (0,) + tuple(x + 1 for x in t)
+    return (0, *[x + 1 for x in t])
 
 
 def face(a: Sequence[int], j: int) -> Perm:
@@ -147,7 +147,9 @@ def face(a: Sequence[int], j: int) -> Perm:
     if not 0 <= j < k:
         raise ValueError(f"face index {j} out of range for degree {k}")
     v = a[j]
-    return tuple(x - 1 if x > v else x for i, x in enumerate(a) if i != j)
+    rest = list(a)
+    del rest[j]
+    return tuple([x - 1 if x > v else x for x in rest])
 
 
 def faces(a: Sequence[int]) -> list[Perm]:

@@ -147,10 +147,11 @@ def realizable_perms(p: int, side: int, g: int) -> tuple[Perm, ...]:
         raise ValueError("side must be 1 or 2")
     if p <= g - 1 + side:
         return tuple(all_perms(p))
-    # the words of all_perms are permutations already: no ArcClass to check them
-    return tuple(
-        w for w in all_perms(p) if _realizable(w, side, g, _neighborhood_boundary(w, side))
-    )
+    # the words of all_perms are permutations already: no ArcClass to check
+    # them; the filter reads each count once, so it skips the cache, which
+    # keeps the entries that simplex_genus, realizable and cut_surface reread
+    count = _neighborhood_boundary.__wrapped__
+    return tuple(w for w in all_perms(p) if _realizable(w, side, g, count(w, side)))
 
 
 def cut_surface(ambient: SurfaceType, a: ArcClass) -> SurfaceType:

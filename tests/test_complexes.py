@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 import arccalc
+from arccalc import complexes
 from arccalc.complexes import (
     _face_rank_table,
     _face_ranks,
@@ -22,7 +23,7 @@ from arccalc.complexes import (
     verify_quotient_homotopy,
 )
 from arccalc.intmat import SparseIntMatrix, snf
-from arccalc.perms import all_perms, face, identity
+from arccalc.perms import FormalSum, all_perms, boundary, face, identity, singleton
 from arccalc.surfaces import realizable_perms
 
 
@@ -60,6 +61,11 @@ class TestConstruction:
         assert face_matrix([(0, 2, 1)], {(0, 1): 0, (1, 0): 1}).to_dense() == [[0], [1]]
         with pytest.raises(ValueError):
             face_matrix([(0, 2, 1)], {(0, 1): 0})
+
+    def test_row_numbers_outside_the_index_raise(self):
+        for bad in (2, -1):
+            with pytest.raises(ValueError):
+                face_matrix([(0, 2, 1)], {(0, 1): 0, (1, 0): bad})
 
     def test_words_of_another_degree_raise(self):
         index = {(0, 1): 0, (1, 0): 1}
@@ -228,6 +234,32 @@ class TestHomotopy:
             len(realizable_perms(d, side, g)) for d in range(2, g + side)
         )
         assert rep.checked == expected
+
+    @staticmethod
+    def _append_fixed_point(t):
+        # a broken lift: the fixed point goes last instead of first
+        return (*t, len(t))
+
+    def _fails_with_broken_lift(self, word):
+        # the FormalSum route, independent of the dict sum in _contracts
+        lift = self._append_fixed_point
+        lifted_faces = FormalSum.from_terms(
+            (c, lift(f)) for f, c in boundary(word).coeffs.items()
+        )
+        return boundary(lift(word)) + lifted_faces != singleton(word)
+
+    def test_broken_lift_fails_exhaustive(self, monkeypatch):
+        monkeypatch.setattr(complexes, "hat", self._append_fixed_point)
+        rep = verify_homotopy(4)
+        assert not rep.ok and rep.checked == 2 + 6 + 24
+        expected = [w for d in range(2, 5) for w in all_perms(d) if self._fails_with_broken_lift(w)]
+        assert expected and list(rep.failures) == expected
+
+    def test_broken_lift_fails_sampled(self, monkeypatch):
+        monkeypatch.setattr(complexes, "hat", self._append_fixed_point)
+        rep = verify_homotopy_sampled(5, 50)
+        assert not rep.ok and rep.checked == 50 and rep.failures
+        assert all(self._fails_with_broken_lift(w) for w in rep.failures)
 
     def test_report_json(self):
         rep = verify_homotopy(3)

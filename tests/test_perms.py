@@ -129,6 +129,11 @@ class TestHatAndRotation:
         assert hat((1, 2, 0)) == (0, 2, 3, 1)
         assert cycle_count(hat((1, 0))) == cycle_count((1, 0)) + 1
 
+    @given(perms)
+    def test_hat_of_a_list_is_the_tuple_result(self, a):
+        assert hat(list(a)) == hat(a)
+        assert type(hat(list(a))) is tuple
+
     @given(same_degree_pair())
     def test_hat_is_multiplicative(self, pair):
         a, b = pair
@@ -144,6 +149,12 @@ class TestFaces:
         for k in range(2, 7):
             for j in range(k):
                 assert face(identity(k), j) == identity(k - 1)
+
+    @given(perms.filter(lambda a: len(a) >= 2))
+    def test_face_of_a_list_is_the_tuple_result(self, a):
+        for j in range(len(a)):
+            assert face(list(a), j) == face(a, j)
+            assert type(face(list(a), j)) is tuple
 
     def test_rejects(self):
         with pytest.raises(ValueError):

@@ -138,6 +138,13 @@ class TestRealizability:
                     expected = tuple(w for w in all_perms(p) if realizable(ArcClass(w, side), g))
                     assert realizable_perms(p, side, g) == expected
 
+    def test_filter_leaves_the_boundary_count_cache_alone(self):
+        before = _neighborhood_boundary.cache_info()
+        for side in (1, 2):
+            assert realizable_perms.__wrapped__(5, side, 3)
+        after = _neighborhood_boundary.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
     def test_face_closed(self):
         for g in range(0, 7):
             for side in (1, 2):
