@@ -27,7 +27,7 @@ print()
 print("=== first-differential columns and their cancellations ===")
 for word in [(0, 2, 1), (1, 2, 0), (0, 3, 2, 1), (0, 2, 1, 3), (0, 3, 1, 2)]:
     survivors = cancellation_report(word)
-    pretty = "  ".join(f"{t['coeff']:+d}*{t['perm']}" for t in survivors.to_json())
+    pretty = "  ".join(f"{c:+d}*{list(f)}" for f, c in sorted(survivors.items()))
     print(f"column of {list(word)}: {pretty}")
 m = d1_matrix(page, 3)
 print(f"d1 from column 3: {m}")

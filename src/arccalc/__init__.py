@@ -8,14 +8,11 @@ spectral bookkeeping, and the inequality ledgers of the stability proofs.
 """
 
 from .perms import (
-    FormalSum,
     boundary,
-    boundary_of_sum,
     compose,
     cycle_count,
     face,
     hat,
-    homotopy_d_on_sum,
     identity,
     inverse,
     rotation,

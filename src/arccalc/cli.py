@@ -295,11 +295,7 @@ def run_ledger(args, parser) -> tuple[dict, tuple[str, ...], bool]:
 
 def run_exceptions(args, parser) -> tuple[dict, tuple[str, ...], bool]:
     ok, computed = ledger.check_orbit_set_exceptions(args.case)
-    rows = [
-        {"case": t.case, "l": t.lm[0], "m": t.lm[1], "n": t.n, "g": t.g, "k": t.k}
-        for t in computed
-    ]
-    return {"rows": rows}, ("case", "l", "m", "n", "g", "k"), ok
+    return {"rows": [t.to_json() for t in computed]}, ("case", "l", "m", "n", "g", "k"), ok
 
 
 RUNNERS = {

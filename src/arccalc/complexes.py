@@ -30,17 +30,7 @@ from math import factorial
 from typing import Mapping, Sequence
 
 from .intmat import SparseIntMatrix, snf
-from .perms import (
-    FormalSum,
-    Perm,
-    all_perms,
-    boundary,
-    boundary_of_sum,
-    face,
-    hat,
-    identity,
-    singleton,
-)
+from .perms import Perm, all_perms, face, hat, identity
 from .surfaces import ArcClass, realizable, realizable_perms
 
 DEFAULT_DEGREE_CAP = 7
@@ -157,36 +147,22 @@ class ChainComplex:
     Graded bases of permutation words with exact boundary matrices.
 
     ``basis(d)`` is the ordered basis at degree ``d``; ``boundary_matrix(d)``
-    maps degree ``d`` to degree ``d-1`` for ``2 <= d <= max_degree``.
-    Without ``matrices`` each boundary matrix is the :func:`face_matrix` of
-    the basis; explicitly given matrices are shape-checked and must square
-    to zero.  Instances are immutable after construction.
+    maps degree ``d`` to degree ``d-1`` for ``min_degree < d <= max_degree``;
+    it is the :func:`face_matrix` of the basis, so a basis that is not closed
+    under faces raises ``ValueError``.  Instances are immutable after
+    construction.
     """
 
-    def __init__(
-        self,
-        bases: dict[int, tuple[Perm, ...]],
-        matrices: dict[int, SparseIntMatrix] | None = None,
-    ):
+    def __init__(self, bases: dict[int, tuple[Perm, ...]]):
         self._bases = dict(bases)
         self.min_degree = min(self._bases)
         self.max_degree = max(self._bases)
         if set(self._bases) != set(range(self.min_degree, self.max_degree + 1)):
             raise ValueError("degrees must be contiguous")
-        self._matrices: dict[int, SparseIntMatrix] = {}
-        for d in range(self.min_degree + 1, self.max_degree + 1):
-            self._matrices[d] = (
-                matrices[d]
-                if matrices is not None
-                else face_matrix(
-                    self._bases[d], {p: i for i, p in enumerate(self._bases[d - 1])}
-                )
-            )
-            m = self._matrices[d]
-            if (m.nrows, m.ncols) != (len(self._bases[d - 1]), len(self._bases[d])):
-                raise ValueError(f"boundary matrix shape mismatch at degree {d}")
-        if matrices is not None and not self.verify_dd_zero():
-            raise ValueError("boundary matrices do not square to zero")
+        self._matrices = {
+            d: face_matrix(self._bases[d], {p: i for i, p in enumerate(self._bases[d - 1])})
+            for d in range(self.min_degree + 1, self.max_degree + 1)
+        }
 
     def basis(self, d: int) -> tuple[Perm, ...]:
         if d not in self._bases:
@@ -216,12 +192,6 @@ class HomologyGroup:
     @property
     def trivial(self) -> bool:
         return self.betti == 0 and not self.torsion
-
-    def to_json(self, degree: int | None = None) -> dict:
-        out = {"betti": self.betti, "torsion": list(self.torsion)}
-        if degree is not None:
-            out["degree"] = degree
-        return out
 
 
 def perm_complex(max_degree: int) -> ChainComplex:
@@ -359,9 +329,10 @@ def verify_homotopy_sampled(degree: int, samples: int, seed: int = 0) -> Homotop
     return HomotopyReport(samples, tuple(failures))
 
 
-def quotient_contraction(g: int, side: int, d: int, word: Perm) -> FormalSum:
+def quotient_contraction(g: int, side: int, d: int, word: Perm) -> dict[Perm, int]:
     """
-    The lifted contraction on the quotient complex at genus ``g``.
+    The lifted contraction on the quotient complex at genus ``g``, as a
+    ``{word: coefficient}`` dict.
 
     Prepending a fixed point keeps a word realizable except in one spot: the
     identity at the top degree ``T = g + side - 1``.  There the correction is
@@ -372,13 +343,13 @@ def quotient_contraction(g: int, side: int, d: int, word: Perm) -> FormalSum:
     top = g + side - 1
     lifted = hat(word)
     if realizable(ArcClass(lifted, side), g):
-        return singleton(lifted)
+        return {lifted: 1}
     if word != identity(d) or d != top:
         raise ValueError(f"unexpected escape at degree {d}: {word}")
     if top % 2 == 1:
-        return FormalSum()
+        return {}
     tau = (2, 0, 1) + tuple(range(3, top + 1))
-    return singleton(tau)
+    return {tau: 1}
 
 
 def verify_quotient_homotopy(g: int, side: int) -> HomotopyReport:
@@ -386,6 +357,8 @@ def verify_quotient_homotopy(g: int, side: int) -> HomotopyReport:
     Check that the lifted contraction contracts the quotient complex in the
     guaranteed range: for every basis word of degree ``2 <= d <= g-1+side``,
     contraction-of-boundary plus boundary-of-contraction returns the word.
+    As in :func:`_contracts`, the signed faces of each lift and the lift of
+    each signed face are summed in one dict.
     """
     if g < 2:
         raise ValueError("quotient complex needs genus >= 2")
@@ -395,9 +368,14 @@ def verify_quotient_homotopy(g: int, side: int) -> HomotopyReport:
     for d in range(2, top + 1):
         for word in realizable_perms(d, side, g):
             checked += 1
-            img = boundary_of_sum(quotient_contraction(g, side, d, word))
-            for f, coeff in boundary(word).coeffs.items():
-                img = img + quotient_contraction(g, side, d - 1, f).scale(coeff)
-            if img != singleton(word):
+            acc: dict[Perm, int] = {}
+            for lifted, c in quotient_contraction(g, side, d, word).items():
+                for j in range(len(lifted)):
+                    f = face(lifted, j)
+                    acc[f] = acc.get(f, 0) + c * (-1) ** j
+            for j in range(d):
+                for f, c in quotient_contraction(g, side, d - 1, face(word, j)).items():
+                    acc[f] = acc.get(f, 0) + c * (-1) ** j
+            if {f: c for f, c in acc.items() if c} != {word: 1}:
                 failures.append(word)
     return HomotopyReport(checked, tuple(failures))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .complexes import face_matrix, quotient_complex
 from .intmat import SparseIntMatrix
-from .perms import FormalSum, Perm, face
+from .perms import Perm, face
 from .surfaces import ArcClass, SurfaceType, cut_surface, realizable_perms, simplex_genus
 
 
@@ -136,27 +136,28 @@ def d1_follows_cancellation(page: E1Page, p: int, m: SparseIntMatrix) -> bool:
         cols[j][targets[i]] = v
     sources = page.column(p)
     return len(sources) == m.ncols and all(
-        col == cancellation_report(s.perm).coeffs for col, s in zip(cols, sources)
+        col == cancellation_report(s.perm) for col, s in zip(cols, sources)
     )
 
 
-def cancellation_report(word: Perm) -> FormalSum:
+def cancellation_report(word: Perm) -> dict[Perm, int]:
     """
-    Signed faces surviving the twist cancellations.
+    Signed faces surviving the twist cancellations, summed per face word
+    into a ``{face: coefficient}`` dict with no zero coefficient.
 
     Two successive faces are equal exactly when the word carries adjacent
     values at adjacent positions (in either order); such a pair enters with
-    opposite signs and cancels.  The survivors, summed per face word, must
-    equal the nonzero entries of the word's first-differential column.
+    opposite signs and cancels.  The survivors must equal the nonzero entries
+    of the word's first-differential column.
 
-    >>> dict(cancellation_report((0, 2, 1)).coeffs)
+    >>> cancellation_report((0, 2, 1))
     {(1, 0): 1}
-    >>> cancellation_report((0, 3, 1, 2)).to_json()
-    [{'coeff': -1, 'perm': [0, 1, 2]}, {'coeff': 1, 'perm': [2, 0, 1]}]
+    >>> sorted(cancellation_report((0, 3, 1, 2)).items())
+    [((0, 1, 2), -1), ((2, 0, 1), 1)]
     """
     k = len(word)
     if k < 2:
-        return FormalSum()
+        return {}
     alive = [True] * k
     j = 0
     while j < k - 1:
@@ -165,4 +166,9 @@ def cancellation_report(word: Perm) -> FormalSum:
             j += 2
         else:
             j += 1
-    return FormalSum.from_terms(((-1) ** j, face(word, j)) for j in range(k) if alive[j])
+    acc: dict[Perm, int] = {}
+    for j in range(k):
+        if alive[j]:
+            f = face(word, j)
+            acc[f] = acc.get(f, 0) + (-1) ** j
+    return {f: c for f, c in acc.items() if c}

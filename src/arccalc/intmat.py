@@ -34,35 +34,18 @@ class SparseIntMatrix:
     def from_entries(
         cls, nrows: int, ncols: int, entries: Iterable[tuple[int, int, int]]
     ) -> "SparseIntMatrix":
+        """Sum ``(row, col, value)`` entries; repeats add up, zeros drop out."""
         m = cls(nrows, ncols)
         for i, j, v in entries:
-            m.add(i, j, v)
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise IndexError(f"({i}, {j}) out of range for {nrows}x{ncols}")
+            row = m._rows[i]
+            new = row.get(j, 0) + v
+            if new:
+                row[j] = new
+            else:
+                row.pop(j, None)
         return m
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseIntMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m._rows[i][i] = 1
-        return m
-
-    def get(self, i: int, j: int) -> int:
-        self._check(i, j)
-        return self._rows[i].get(j, 0)
-
-    def set(self, i: int, j: int, v: int) -> None:
-        self._check(i, j)
-        if v:
-            self._rows[i][j] = v
-        else:
-            self._rows[i].pop(j, None)
-
-    def add(self, i: int, j: int, v: int) -> None:
-        self.set(i, j, self._rows[i].get(j, 0) + v)
-
-    def _check(self, i: int, j: int) -> None:
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"({i}, {j}) out of range for {self.nrows}x{self.ncols}")
 
     def entries(self) -> Iterator[tuple[int, int, int]]:
         for i, row in enumerate(self._rows):
@@ -118,18 +101,6 @@ class SparseIntMatrix:
             lines.append(f"{i} {j} {v}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_triples(cls, text: str) -> "SparseIntMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty triple stream")
-        header = json.loads(lines[0])
-        m = cls(int(header["rows"]), int(header["cols"]))
-        for ln in lines[1:]:
-            i, j, v = ln.split()
-            m.add(int(i), int(j), int(v))
-        return m
-
 
 @dataclass(frozen=True)
 class SNFResult:
@@ -139,12 +110,6 @@ class SNFResult:
     rank: int
     U: SparseIntMatrix | None = None
     V: SparseIntMatrix | None = None
-
-    def diagonal_matrix(self, nrows: int, ncols: int) -> SparseIntMatrix:
-        d = SparseIntMatrix(nrows, ncols)
-        for t, v in enumerate(self.invariant_factors):
-            d.set(t, t, v)
-        return d
 
 
 class _Eliminator:

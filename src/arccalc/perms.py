@@ -152,15 +152,13 @@ def face(a: Sequence[int], j: int) -> Perm:
     return tuple([x - 1 if x > v else x for x in rest])
 
 
-def faces(a: Sequence[int]) -> list[Perm]:
-    """All faces ``[face(a, 0), ..., face(a, k-1)]``."""
-    return [face(a, j) for j in range(len(a))]
-
-
 @dataclass(frozen=True)
 class FormalSum:
     """
-    Integer combination of equal-degree permutations.
+    Integer combination of equal-degree permutations.  The library sums
+    signed faces in plain ``{word: coefficient}`` dicts; this class, with
+    :func:`boundary` and :func:`homotopy_d_on_sum`, is a second route to the
+    same sums that the tests hold those dicts to.
 
     ``coeffs`` maps each word to a nonzero coefficient, so two sums are equal
     when their mappings are, whatever the order of the words.  :meth:`from_terms`
@@ -190,33 +188,8 @@ class FormalSum:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, p: Sequence[int]) -> int:
-        return self.coeffs.get(tuple(p), 0)
-
     def __add__(self, other: "FormalSum") -> "FormalSum":
         return FormalSum.from_terms((c, p) for s in (self, other) for p, c in s.coeffs.items())
-
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + (-other)
-
-    def __neg__(self) -> "FormalSum":
-        return self.scale(-1)
-
-    def scale(self, c: int) -> "FormalSum":
-        if c == 0:
-            return FormalSum()
-        return FormalSum({p: c * k for p, k in self.coeffs.items()})
-
-    def to_json(self) -> list[dict]:
-        return [{"coeff": c, "perm": list(p)} for p, c in sorted(self.coeffs.items())]
-
-    @classmethod
-    def from_json(cls, data: Iterable[dict]) -> "FormalSum":
-        return cls.from_terms((d["coeff"], tuple(d["perm"])) for d in data)
-
-
-def singleton(a: Sequence[int], coeff: int = 1) -> FormalSum:
-    return FormalSum.from_terms([(coeff, tuple(a))])
 
 
 def boundary(a: Sequence[int]) -> FormalSum:
@@ -232,12 +205,6 @@ def boundary(a: Sequence[int]) -> FormalSum:
     """
     return FormalSum.from_terms(
         ((-1) ** j, face(a, j)) for j in range(len(a))
-    )
-
-
-def boundary_of_sum(s: FormalSum) -> FormalSum:
-    return FormalSum.from_terms(
-        (c * k, f) for p, c in s.coeffs.items() for f, k in boundary(p).coeffs.items()
     )
 
 

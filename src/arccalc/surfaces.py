@@ -39,10 +39,6 @@ class SurfaceType:
     def to_json(self) -> dict:
         return {"g": self.g, "r": self.r}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "SurfaceType":
-        return cls(int(data["g"]), int(data["r"]))
-
     def __str__(self) -> str:
         return f"F({self.g},{self.r})"
 
@@ -65,10 +61,6 @@ class ArcClass:
 
     def to_json(self) -> dict:
         return {"perm": list(self.perm), "side": self.side}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ArcClass":
-        return cls(tuple(data["perm"]), int(data["side"]))
 
 
 @lru_cache(maxsize=None)

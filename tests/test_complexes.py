@@ -23,7 +23,7 @@ from arccalc.complexes import (
     verify_quotient_homotopy,
 )
 from arccalc.intmat import SparseIntMatrix, snf
-from arccalc.perms import FormalSum, all_perms, boundary, face, identity, singleton
+from arccalc.perms import FormalSum, all_perms, boundary, face, identity
 from arccalc.surfaces import realizable_perms
 
 
@@ -84,11 +84,11 @@ class TestConstruction:
 
 def tuple_face_matrix(words, index):
     """The face matrix from face tuples: the referee of the rank route."""
-    m = SparseIntMatrix(len(index), len(words))
-    for c, w in enumerate(words):
-        for j in range(len(w)):
-            m.add(index[face(w, j)], c, (-1) ** j)
-    return m
+    return SparseIntMatrix.from_entries(
+        len(index),
+        len(words),
+        ((index[face(w, j)], c, (-1) ** j) for c, w in enumerate(words) for j in range(len(w))),
+    )
 
 
 class TestFaceRanks:
@@ -152,21 +152,12 @@ class TestHomology:
         assert homology(c, 3).betti == 6
 
     def test_explicit_zero_matrices(self):
-        from arccalc.complexes import ChainComplex
-        from arccalc.intmat import SparseIntMatrix
-
-        bases = {1: tuple(all_perms(1)), 2: tuple(all_perms(2))}
-        c = ChainComplex(bases, {2: SparseIntMatrix(1, 2)})
+        # both faces of a degree-2 word are (0,), with opposite signs, so the
+        # one boundary matrix of the complex on S_1, S_2 is zero
+        c = perm_complex(2)
+        assert c.boundary_matrix(2).is_zero()
         assert homology(c, 1).betti == 1
         assert homology(c, 2).betti == 2
-
-    def test_from_matrices_validates(self):
-        from arccalc.complexes import ChainComplex
-        from arccalc.intmat import SparseIntMatrix
-
-        bases = {1: tuple(all_perms(1)), 2: tuple(all_perms(2))}
-        with pytest.raises(ValueError):
-            ChainComplex(bases, {2: SparseIntMatrix(3, 3)})
 
     def test_missing_degree_rejected(self):
         c = perm_complex(4)
@@ -236,6 +227,33 @@ class TestHomotopy:
         assert rep.checked == expected
 
     @staticmethod
+    def _drop_twist_correction(monkeypatch, g, side):
+        # lift the identity at the top degree T = g + side - 1 to the empty
+        # sum, which is the right lift only when T is odd
+        top = g + side - 1
+        lift = complexes.quotient_contraction
+
+        def uncorrected(g_, side_, d, word):
+            if d == top and word == identity(top):
+                return {}
+            return lift(g_, side_, d, word)
+
+        monkeypatch.setattr(complexes, "quotient_contraction", uncorrected)
+        return top
+
+    @pytest.mark.parametrize("g, side", [(2, 1), (3, 2), (4, 1), (5, 2)])
+    def test_quotient_lift_without_twist_fails_at_even_top(self, monkeypatch, g, side):
+        top = self._drop_twist_correction(monkeypatch, g, side)
+        assert top % 2 == 0
+        assert verify_quotient_homotopy(g, side).failures == (identity(top),)
+
+    @pytest.mark.parametrize("g, side", [(2, 2), (3, 1), (4, 2), (5, 1)])
+    def test_quotient_lift_without_twist_passes_at_odd_top(self, monkeypatch, g, side):
+        top = self._drop_twist_correction(monkeypatch, g, side)
+        assert top % 2 == 1
+        assert verify_quotient_homotopy(g, side).ok
+
+    @staticmethod
     def _append_fixed_point(t):
         # a broken lift: the fixed point goes last instead of first
         return (*t, len(t))
@@ -246,7 +264,7 @@ class TestHomotopy:
         lifted_faces = FormalSum.from_terms(
             (c, lift(f)) for f, c in boundary(word).coeffs.items()
         )
-        return boundary(lift(word)) + lifted_faces != singleton(word)
+        return boundary(lift(word)) + lifted_faces != FormalSum({word: 1})
 
     def test_broken_lift_fails_exhaustive(self, monkeypatch):
         monkeypatch.setattr(complexes, "hat", self._append_fixed_point)

@@ -6,7 +6,6 @@ from arccalc.perms import (
     all_perms,
     as_perm,
     boundary,
-    boundary_of_sum,
     compose,
     cycle_count,
     face,
@@ -16,7 +15,6 @@ from arccalc.perms import (
     inverse,
     is_perm,
     rotation,
-    singleton,
 )
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
@@ -175,11 +173,17 @@ class TestBoundary:
             if g % 2 == 1:
                 assert b.is_zero()
             else:
-                assert b == singleton(identity(g))
+                assert b == FormalSum({identity(g): 1})
 
     def test_boundary_squared_vanishes_exhaustive(self):
         for k in range(3, 8):
-            assert all(boundary_of_sum(boundary(a)).is_zero() for a in all_perms(k))
+            for a in all_perms(k):
+                dd = FormalSum.from_terms(
+                    (c * e, f)
+                    for p, c in boundary(a).coeffs.items()
+                    for f, e in boundary(p).coeffs.items()
+                )
+                assert dd.is_zero(), a
 
     def test_even_degree_correction(self):
         for g in (2, 4, 6):
@@ -192,7 +196,7 @@ class TestHomotopy:
         for k in range(2, 7):
             for a in all_perms(k):
                 lhs = boundary(hat(a)) + homotopy_d_on_sum(boundary(a))
-                assert lhs == singleton(a), a
+                assert lhs == FormalSum({a: 1}), a
 
     def test_degree_one_excluded(self):
         # prepending a fixed point to the sole degree-1 word and taking the
@@ -204,7 +208,6 @@ class TestFormalSum:
     def test_normalization_merges_and_drops(self):
         s = FormalSum.from_terms([(1, (0, 1)), (2, (0, 1)), (-3, (0, 1)), (5, (1, 0))])
         assert s.coeffs == {(1, 0): 5}
-        assert s.coefficient((0, 1)) == 0
 
     def test_mixed_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -212,7 +215,7 @@ class TestFormalSum:
 
     def test_coeffs_are_read_only(self):
         # a write into coeffs would bypass the zero and mixed-degree checks
-        s = singleton((0, 1))
+        s = FormalSum({(0, 1): 1})
         with pytest.raises(TypeError):
             s.coeffs[(1, 0)] = 0
         with pytest.raises(TypeError):
@@ -223,21 +226,12 @@ class TestFormalSum:
         assert t.coeffs == {(0, 1): 2}
 
     def test_algebra(self):
-        a = singleton((0, 1))
-        b = singleton((1, 0))
-        assert (a + b - a) == b
-        assert (a - a).is_zero()
-        assert a.scale(0).is_zero()
-        assert (-a).coefficient((0, 1)) == -1
-
-    def test_json_round_trip(self):
-        s = FormalSum.from_terms([(2, (1, 0, 2)), (-1, (0, 1, 2))])
-        data = s.to_json()
-        assert data == [
-            {"coeff": -1, "perm": [0, 1, 2]},
-            {"coeff": 2, "perm": [1, 0, 2]},
-        ]
-        assert FormalSum.from_json(data) == s
+        a = FormalSum({(0, 1): 1})
+        b = FormalSum({(1, 0): 1})
+        assert a + b == FormalSum({(0, 1): 1, (1, 0): 1})
+        assert a + b + FormalSum({(0, 1): -1}) == b
+        assert (a + FormalSum({(0, 1): -1})).is_zero()
+        assert a + FormalSum() == a
 
     @given(signed_word_lists())
     @settings(max_examples=200, deadline=None)
@@ -246,7 +240,4 @@ class TestFormalSum:
         s = FormalSum.from_terms(a)
         assert s == FormalSum.from_terms(reversed(a))
         assert s + FormalSum.from_terms(b) == FormalSum.from_terms(a + b)
-        assert (s - s).is_zero()
-        data = s.to_json()
-        assert [d["perm"] for d in data] == sorted(d["perm"] for d in data)
-        assert FormalSum.from_json(data) == s
+        assert (s + FormalSum.from_terms((-c, p) for c, p in a)).is_zero()
