@@ -21,6 +21,7 @@ from arccalc import (
     verify_homotopy,
     verify_quotient_homotopy,
 )
+from arccalc.complexes import quotient_contraction
 
 print("=== the full complex is exact ===")
 c = perm_complex(6)
@@ -55,10 +56,10 @@ for g, side in [(2, 1), (3, 1)]:
     word = identity(top)
     lifted = hat(word)
     print(f"genus {g}, side {side}: top degree {top}, lifted identity {lifted}")
-    if top % 2 == 0:
-        tau = (2, 0, 1) + tuple(range(3, top + 1))
-        print(f"  replacement {tau}: boundaries agree: {boundary(tau) == boundary(identity(top + 1))}")
-    else:
+    tau = quotient_contraction(g, side, word)
+    if tau is None:
         print(f"  replacement 0: identity boundary vanishes: {boundary(identity(top + 1)).is_zero()}")
+    else:
+        print(f"  replacement {tau}: boundaries agree: {boundary(tau) == boundary(identity(top + 1))}")
     rep = verify_quotient_homotopy(g, side)
     print(f"  lifted contraction on {rep.checked} words: ok={rep.ok}")

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .intmat import SparseIntMatrix, snf
 from .perms import Perm, all_perms, face, hat, identity
@@ -280,22 +281,35 @@ class HomotopyReport:
         }
 
 
-def _contracts(word: Perm) -> bool:
+def _contracts(word: Perm, lift: Callable[[Perm], Perm | None]) -> bool:
     """
-    Whether boundary-of-hat plus hat-of-boundary sends ``word`` to itself.
-    Every face is taken by the tuple :func:`~arccalc.perms.face`, of
-    ``hat(word)`` and of ``word``, and the signed terms of both sides are
-    summed in one dict.
+    Whether boundary-of-lift plus lift-of-boundary sends ``word`` to itself.
+    ``lift`` maps a word to one word, or to ``None`` for zero.  Every face is
+    taken by the tuple :func:`~arccalc.perms.face`, of ``lift(word)`` and of
+    ``word``, and the signed terms of both sides are summed in one dict.
     """
-    lifted = hat(word)
     acc: dict[Perm, int] = {}
-    for j in range(len(lifted)):
-        f = face(lifted, j)
-        acc[f] = acc.get(f, 0) + (-1) ** j
+    lifted = lift(word)
+    if lifted is not None:
+        for j in range(len(lifted)):
+            f = face(lifted, j)
+            acc[f] = acc.get(f, 0) + (-1) ** j
     for j in range(len(word)):
-        f = hat(face(word, j))
-        acc[f] = acc.get(f, 0) + (-1) ** j
+        f = lift(face(word, j))
+        if f is not None:
+            acc[f] = acc.get(f, 0) + (-1) ** j
     return {f: c for f, c in acc.items() if c} == {word: 1}
+
+
+def _contraction_report(words: Iterable[Perm], lift: Callable[[Perm], Perm | None]) -> HomotopyReport:
+    """Count ``words`` and collect those that :func:`_contracts` rejects."""
+    checked = 0
+    failures = []
+    for word in words:
+        checked += 1
+        if not _contracts(word, lift):
+            failures.append(word)
+    return HomotopyReport(checked, tuple(failures))
 
 
 def verify_homotopy(max_degree: int) -> HomotopyReport:
@@ -304,14 +318,8 @@ def verify_homotopy(max_degree: int) -> HomotopyReport:
     is the identity on every word of degree 2 through ``max_degree``.
     """
     _check_cap(max_degree)
-    failures = []
-    checked = 0
-    for d in range(2, max_degree + 1):
-        for word in all_perms(d):
-            checked += 1
-            if not _contracts(word):
-                failures.append(word)
-    return HomotopyReport(checked, tuple(failures))
+    words = (w for d in range(2, max_degree + 1) for w in all_perms(d))
+    return _contraction_report(words, hat)
 
 
 def verify_homotopy_sampled(degree: int, samples: int, seed: int = 0) -> HomotopyReport:
@@ -319,20 +327,19 @@ def verify_homotopy_sampled(degree: int, samples: int, seed: int = 0) -> Homotop
     if degree < 2:
         raise ValueError("homotopy identity needs degree >= 2")
     rng = random.Random(seed)
-    failures = []
-    base = list(range(degree))
-    for _ in range(samples):
-        word = base[:]
+
+    def draw() -> Perm:
+        word = list(range(degree))
         rng.shuffle(word)
-        if not _contracts(tuple(word)):
-            failures.append(tuple(word))
-    return HomotopyReport(samples, tuple(failures))
+        return tuple(word)
+
+    return _contraction_report((draw() for _ in range(samples)), hat)
 
 
-def quotient_contraction(g: int, side: int, d: int, word: Perm) -> dict[Perm, int]:
+def quotient_contraction(g: int, side: int, word: Perm) -> Perm | None:
     """
-    The lifted contraction on the quotient complex at genus ``g``, as a
-    ``{word: coefficient}`` dict.
+    The lifted contraction on the quotient complex at genus ``g``: one word,
+    or ``None`` for zero.
 
     Prepending a fixed point keeps a word realizable except in one spot: the
     identity at the top degree ``T = g + side - 1``.  There the correction is
@@ -343,13 +350,12 @@ def quotient_contraction(g: int, side: int, d: int, word: Perm) -> dict[Perm, in
     top = g + side - 1
     lifted = hat(word)
     if realizable(ArcClass(lifted, side), g):
-        return {lifted: 1}
-    if word != identity(d) or d != top:
-        raise ValueError(f"unexpected escape at degree {d}: {word}")
+        return lifted
+    if word != identity(top):
+        raise ValueError(f"unexpected escape at degree {len(word)}: {word}")
     if top % 2 == 1:
-        return {}
-    tau = (2, 0, 1) + tuple(range(3, top + 1))
-    return {tau: 1}
+        return None
+    return (2, 0, 1, *range(3, top + 1))
 
 
 def verify_quotient_homotopy(g: int, side: int) -> HomotopyReport:
@@ -357,25 +363,8 @@ def verify_quotient_homotopy(g: int, side: int) -> HomotopyReport:
     Check that the lifted contraction contracts the quotient complex in the
     guaranteed range: for every basis word of degree ``2 <= d <= g-1+side``,
     contraction-of-boundary plus boundary-of-contraction returns the word.
-    As in :func:`_contracts`, the signed faces of each lift and the lift of
-    each signed face are summed in one dict.
     """
     if g < 2:
         raise ValueError("quotient complex needs genus >= 2")
-    top = g + side - 1
-    failures = []
-    checked = 0
-    for d in range(2, top + 1):
-        for word in realizable_perms(d, side, g):
-            checked += 1
-            acc: dict[Perm, int] = {}
-            for lifted, c in quotient_contraction(g, side, d, word).items():
-                for j in range(len(lifted)):
-                    f = face(lifted, j)
-                    acc[f] = acc.get(f, 0) + c * (-1) ** j
-            for j in range(d):
-                for f, c in quotient_contraction(g, side, d - 1, face(word, j)).items():
-                    acc[f] = acc.get(f, 0) + c * (-1) ** j
-            if {f: c for f, c in acc.items() if c} != {word: 1}:
-                failures.append(word)
-    return HomotopyReport(checked, tuple(failures))
+    words = (w for d in range(2, g + side) for w in realizable_perms(d, side, g))
+    return _contraction_report(words, partial(quotient_contraction, g, side))

@@ -94,11 +94,7 @@ def e1_skeleton(ambient: SurfaceType, side: int, max_p: int) -> E1Page:
     columns = []
     for p in range(1, max_p + 1):
         col = tuple(
-            Summand(
-                w,
-                simplex_genus(ArcClass(w, side)),
-                cut_surface(ambient, ArcClass(w, side)),
-            )
+            Summand(w, simplex_genus(a := ArcClass(w, side)), cut_surface(ambient, a))
             for w in realizable_perms(p, side, ambient.g)
         )
         columns.append(col)

@@ -17,9 +17,8 @@ Three kinds of artifacts:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
-from .perms import identity
+from .perms import all_perms, identity
 from .surfaces import ArcClass, realizable, simplex_genus
 
 GLUINGS = ((1, 0), (0, 1), (1, -1))
@@ -224,9 +223,9 @@ def _full_orbit_set(p: int, side: int, g_complex: int) -> bool:
 
 def _positive_genus_words_realizable(p: int, side: int, g_complex: int) -> bool:
     return all(
-        realizable(ArcClass(w, side), g_complex)
-        for w in permutations(range(p))
-        if simplex_genus(ArcClass(w, side)) >= 1
+        realizable(a, g_complex)
+        for w in all_perms(p)
+        if simplex_genus(a := ArcClass(w, side)) >= 1
     )
 
 

@@ -23,7 +23,7 @@ from arccalc.complexes import (
     verify_quotient_homotopy,
 )
 from arccalc.intmat import SparseIntMatrix, snf
-from arccalc.perms import FormalSum, all_perms, boundary, face, identity
+from arccalc.perms import FormalSum, all_perms, boundary, face, hat, identity
 from arccalc.surfaces import realizable_perms
 
 
@@ -228,15 +228,15 @@ class TestHomotopy:
 
     @staticmethod
     def _drop_twist_correction(monkeypatch, g, side):
-        # lift the identity at the top degree T = g + side - 1 to the empty
-        # sum, which is the right lift only when T is odd
+        # lift the identity at the top degree T = g + side - 1 to zero,
+        # which is the right lift only when T is odd
         top = g + side - 1
         lift = complexes.quotient_contraction
 
-        def uncorrected(g_, side_, d, word):
-            if d == top and word == identity(top):
-                return {}
-            return lift(g_, side_, d, word)
+        def uncorrected(g_, side_, word):
+            if word == identity(top):
+                return None
+            return lift(g_, side_, word)
 
         monkeypatch.setattr(complexes, "quotient_contraction", uncorrected)
         return top
@@ -252,6 +252,18 @@ class TestHomotopy:
         top = self._drop_twist_correction(monkeypatch, g, side)
         assert top % 2 == 1
         assert verify_quotient_homotopy(g, side).ok
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_quotient_lift_values(self, g, side):
+        # hat(w) on every word of degree 2..T, except the identity at the top
+        # degree T: zero when T is odd, the twist word when T is even
+        top = g + side - 1
+        twist = None if top % 2 else (2, 0, 1, *range(3, top + 1))
+        for d in range(2, top + 1):
+            for w in all_perms(d):
+                expected = twist if w == identity(top) else hat(w)
+                assert quotient_contraction(g, side, w) == expected, w
 
     @staticmethod
     def _append_fixed_point(t):
@@ -289,7 +301,7 @@ class TestInvariantsSurviveOptimize:
         # genus 2, side 1 has top degree 2, so a degree-3 escape is not the
         # identity at the top and must not be replaced by the twist word
         with pytest.raises(ValueError):
-            quotient_contraction(2, 1, 3, (0, 1, 2))
+            quotient_contraction(2, 1, (0, 1, 2))
 
     def test_unexpected_escape_raises_under_python_O(self):
         src = os.path.dirname(os.path.dirname(arccalc.__file__))
@@ -297,7 +309,7 @@ class TestInvariantsSurviveOptimize:
         code = (
             "from arccalc.complexes import quotient_contraction\n"
             "try:\n"
-            "    print(quotient_contraction(2, 1, 3, (0, 1, 2)))\n"
+            "    print(quotient_contraction(2, 1, (0, 1, 2)))\n"
             "except ValueError:\n"
             "    print('raised')\n"
         )
