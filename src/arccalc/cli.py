@@ -3,7 +3,9 @@ Command-line front end: every verification suite as a subcommand with
 machine-readable output.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.  Output is
-deterministic for a fixed configuration.
+deterministic for a fixed configuration.  JSON reports are written as they
+are encoded, a block of encoder chunks at a time, so no whole-report string
+is held.
 """
 
 from __future__ import annotations
@@ -12,13 +14,16 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from multiprocessing import get_context
+from typing import Iterable, Iterator
 
 from . import complexes, e1page, ledger
 from .ribbon import oracle_boundary_count
 from .surfaces import (
     ArcClass,
     SurfaceType,
+    boundary_count,
     boundary_of_neighborhood,
     cut_surface,
     simplex_genus,
@@ -26,6 +31,10 @@ from .surfaces import (
 
 FORMATS = ("json", "csv", "table")
 FORMAT_ENV = "ARCCALC_FORMAT"
+
+# encoder chunks joined per write: one write per chunk is slow, and one write
+# of the joined report holds the chunk list and the whole string at once
+JSON_BLOCK = 8192
 
 # registry used both to build the parser and to answer --describe
 COMMAND_FLAGS: dict[str, list[tuple[str, dict]]] = {
@@ -143,9 +152,9 @@ def _oracle_block(task: tuple[int, int]) -> list[dict]:
 
     rows = []
     for w in all_perms(degree):
-        a = ArcClass(w, side)
-        formula = boundary_of_neighborhood(a)
-        trace = oracle_boundary_count(a)
+        # each word is counted once: the uncached count fills no cache
+        formula = boundary_count(w, side)
+        trace = oracle_boundary_count(ArcClass(w, side))
         if formula != trace:
             rows.append(
                 {
@@ -309,15 +318,23 @@ RUNNERS = {
 }
 
 
-def _render(report: dict, columns: tuple[str, ...], fmt: str) -> str:
+def _json_blocks(report: dict) -> Iterator[str]:
+    """The text of ``json.dumps(report, sort_keys=True, indent=2)`` and a newline, in blocks."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+    while block := "".join(islice(chunks, JSON_BLOCK)):
+        yield block
+    yield "\n"
+
+
+def _render(report: dict, columns: tuple[str, ...], fmt: str) -> Iterable[str]:
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return _json_blocks(report)
     rows = report["rows"]
     if fmt == "csv":
         lines = [",".join(columns)]
         for r in rows:
             lines.append(",".join(str(r.get(c, "")) for c in columns))
-        return "\n".join(lines) + "\n"
+        return ["\n".join(lines) + "\n"]
     widths = [max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c) for c in columns]
     lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]
     for r in rows:
@@ -325,7 +342,7 @@ def _render(report: dict, columns: tuple[str, ...], fmt: str) -> str:
     summary = {k: v for k, v in report.items() if k not in ("rows", "d1", "command", "ok")}
     extras = "  ".join(f"{k}={v}" for k, v in sorted(summary.items()))
     lines.append(f"ok: {report['ok']}" + (f"  ({extras})" if extras else ""))
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -344,12 +361,15 @@ def main(argv: list[str] | None = None) -> int:
     report, columns, ok = RUNNERS[args.command](args, parser)
     report["command"] = args.command
     report["ok"] = ok
-    text = _render(report, columns, fmt)
+    blocks = _render(report, columns, fmt)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.writelines(blocks)
+        except OSError as exc:
+            parser.error(f"cannot write --output {args.output!r}: {exc.strerror}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     return 0 if ok else 1
 
 

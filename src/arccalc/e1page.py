@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .complexes import face_matrix, quotient_complex
 from .intmat import SparseIntMatrix
 from .perms import Perm, face
-from .surfaces import ArcClass, SurfaceType, cut_surface, realizable_perms, simplex_genus
+from .surfaces import SurfaceType, _cut_surface, _genus, boundary_count, realizable_perms
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,10 @@ def e1_skeleton(ambient: SurfaceType, side: int, max_p: int) -> E1Page:
     Populate columns 1..``max_p`` with realizable words and their stabilizer
     labels.  The page converges to zero for ``p + q <= 2g - 2 + side``.
 
+    Each word's boundary count is computed once, uncached, and gives both its
+    simplex genus and its cut surface, by the arithmetic of
+    :func:`simplex_genus` and :func:`cut_surface`.
+
     >>> page = e1_skeleton(SurfaceType(3, 2), 1, 2)
     >>> page.vanishing_bound
     5
@@ -93,11 +97,11 @@ def e1_skeleton(ambient: SurfaceType, side: int, max_p: int) -> E1Page:
         raise ValueError("max_p must be >= 1")
     columns = []
     for p in range(1, max_p + 1):
-        col = tuple(
-            Summand(w, simplex_genus(a := ArcClass(w, side)), cut_surface(ambient, a))
-            for w in realizable_perms(p, side, ambient.g)
-        )
-        columns.append(col)
+        col = []
+        for w in realizable_perms(p, side, ambient.g):
+            nb = boundary_count(w, side)
+            col.append(Summand(w, _genus(w, side, nb), _cut_surface(ambient, w, side, nb)))
+        columns.append(tuple(col))
     return E1Page(ambient, side, tuple(columns), 2 * ambient.g - 2 + side)
 
 

@@ -95,11 +95,19 @@ class SparseIntMatrix:
         return out
 
     def to_triples(self) -> str:
-        """Header line ``{"rows": R, "cols": C}`` then ``row col value`` lines."""
-        lines = [json.dumps({"rows": self.nrows, "cols": self.ncols}, sort_keys=True)]
-        for i, j, v in sorted(self.entries()):
-            lines.append(f"{i} {j} {v}")
-        return "\n".join(lines) + "\n"
+        """
+        Header line ``{"rows": R, "cols": C}`` then ``row col value`` lines,
+        in row and then column order.  Each nonempty row's lines are joined
+        into one string as the row is reached, so the text is assembled from
+        one string per row, not from a sorted list of every entry.
+        """
+        header = json.dumps({"rows": self.nrows, "cols": self.ncols}, sort_keys=True)
+        rows = [
+            "".join([f"{i} {j} {row[j]}\n" for j in sorted(row)])
+            for i, row in enumerate(self._rows)
+            if row
+        ]
+        return "".join([header + "\n", *rows])
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,12 @@ class ArcClass:
         return {"perm": list(self.perm), "side": self.side}
 
 
-@lru_cache(maxsize=None)
-def _neighborhood_boundary(perm: Perm, side: int) -> int:
+def boundary_count(perm: Perm, side: int) -> int:
+    """
+    Boundary count of the thickening of ``perm`` on ``side``, computed on
+    every call: for callers that read each word's count once, so that the
+    cache of :func:`boundary_of_neighborhood` keeps only reread entries.
+    """
     # side 1 reads the arcs through hat, which prepends a fixed point; the
     # count is that of rot . w^-1 . rot^-1 . w, whose entry at x is built
     # from y = w(x) in one pass
@@ -72,6 +76,9 @@ def _neighborhood_boundary(perm: Perm, side: int) -> int:
     k = len(w)
     inv = inverse(w)
     return cycle_count([(inv[(y - 1) % k] + 1) % k for y in w]) + side
+
+
+_neighborhood_boundary = lru_cache(maxsize=None)(boundary_count)
 
 
 def boundary_of_neighborhood(a: ArcClass) -> int:
@@ -99,6 +106,23 @@ def _realizable(perm: Perm, side: int, g: int, nb: int) -> bool:
     if g < 0:
         raise ValueError("genus must be >= 0")
     return _genus(perm, side, nb) >= len(perm) + 1 - g - side
+
+
+def _cut_surface(ambient: SurfaceType, perm: Perm, side: int, nb: int) -> SurfaceType:
+    """The cut-surface type of ``perm`` on ``side``, from the boundary count ``nb``."""
+    if ambient.r < side:
+        raise ValueError(f"{ambient} has too few boundary circles for side {side}")
+    s = _genus(perm, side, nb)
+    p = len(perm)
+    if not _realizable(perm, side, ambient.g, nb):
+        raise ValueError(
+            f"genus deficit: {ArcClass(perm, side)} needs simplex genus >= {p + 1 - ambient.g - side}, has {s}"
+        )
+    # realizability gives g_cut >= 0, and the thickening has at least
+    # side + 1 boundary circles, so r_cut >= ambient.r - side + 1 >= 1
+    g_cut = ambient.g + s - (p + 1 - side)
+    r_cut = nb + ambient.r - 2 * side
+    return SurfaceType(g_cut, r_cut)
 
 
 def simplex_genus(a: ArcClass) -> int:
@@ -140,10 +164,8 @@ def realizable_perms(p: int, side: int, g: int) -> tuple[Perm, ...]:
     if p <= g - 1 + side:
         return tuple(all_perms(p))
     # the words of all_perms are permutations already: no ArcClass to check
-    # them; the filter reads each count once, so it skips the cache, which
-    # keeps the entries that simplex_genus, realizable and cut_surface reread
-    count = _neighborhood_boundary.__wrapped__
-    return tuple(w for w in all_perms(p) if _realizable(w, side, g, count(w, side)))
+    # them; the filter reads each count once, so it skips the cache
+    return tuple(w for w in all_perms(p) if _realizable(w, side, g, boundary_count(w, side)))
 
 
 def cut_surface(ambient: SurfaceType, a: ArcClass) -> SurfaceType:
@@ -153,19 +175,7 @@ def cut_surface(ambient: SurfaceType, a: ArcClass) -> SurfaceType:
     >>> cut_surface(SurfaceType(5, 3), ArcClass((1, 2, 0), 2))
     SurfaceType(g=3, r=4)
     """
-    if ambient.r < a.side:
-        raise ValueError(f"{ambient} has too few boundary circles for side {a.side}")
-    s = simplex_genus(a)
-    p = a.arc_count
-    if not realizable(a, ambient.g):
-        raise ValueError(
-            f"genus deficit: {a} needs simplex genus >= {p + 1 - ambient.g - a.side}, has {s}"
-        )
-    # realizability gives g_cut >= 0, and the thickening has at least
-    # side + 1 boundary circles, so r_cut >= ambient.r - side + 1 >= 1
-    g_cut = ambient.g + s - (p + 1 - a.side)
-    r_cut = boundary_of_neighborhood(a) + ambient.r - 2 * a.side
-    return SurfaceType(g_cut, r_cut)
+    return _cut_surface(ambient, a.perm, a.side, boundary_of_neighborhood(a))
 
 
 _GLUE_DELTAS = {

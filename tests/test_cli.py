@@ -78,6 +78,16 @@ class TestExitCodes:
     def test_e1_max_p_is_degree_capped(self):
         assert run("e1", "--ambient", "4,2", "--side", "2", "--max-p", "10").returncode == 2
 
+    def test_unwritable_output_is_usage_error(self, tmp_path):
+        res = run(
+            "exceptions", "--case", "inj-s11",
+            "--output", str(tmp_path / "missing" / "x.json"),
+        )
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        errors = [line for line in res.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "cannot write --output" in errors[0]
+
     def test_describe_exits_zero(self):
         assert run("--describe").returncode == 0
 
@@ -119,6 +129,14 @@ class TestSuites:
         data = json.loads(res.stdout)
         assert data["ok"] and data["rows"] == []
         assert data["checked"] == 2 * (1 + 2 + 6 + 24 + 120)
+
+    def test_oracle_block_fills_no_cache(self):
+        from arccalc.cli import _oracle_block
+        from arccalc.surfaces import _neighborhood_boundary
+
+        _neighborhood_boundary.cache_clear()
+        assert _oracle_block((6, 1)) == []
+        assert _neighborhood_boundary.cache_info().currsize == 0
 
     def test_oracle_diff_threads_match_serial(self):
         a = run("oracle-diff", "--max-degree", "4", "--format", "json")
@@ -202,6 +220,29 @@ class TestOutputContract:
         )
         assert res.returncode == 0 and res.stdout == ""
         assert json.loads(path.read_text())["ok"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("e1", "--ambient", "3,2", "--side", "1", "--max-p", "5", "--with-d1"),
+            ("ledger", "--g-max", "10", "--k-max", "5"),
+        ],
+        ids=["e1-with-d1", "ledger"],
+    )
+    def test_json_blocks_equal_one_dumps(self, args, tmp_path):
+        from arccalc import cli
+
+        res = run(*args, "--format", "json")
+        assert res.returncode == 0
+        report = json.loads(res.stdout)
+        assert res.stdout == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if args[0] == "ledger":
+            # the report spans more than one block of encoder chunks
+            chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+            assert sum(1 for _ in chunks) > cli.JSON_BLOCK
+        path = tmp_path / "report.json"
+        assert run(*args, "--format", "json", "--output", str(path)).returncode == 0
+        assert path.read_bytes() == res.stdout.encode()
 
     def test_describe_round_trips_with_help(self):
         described = json.loads(run("--describe").stdout)

@@ -11,7 +11,14 @@ from arccalc.e1page import (
 )
 from arccalc.intmat import SparseIntMatrix
 from arccalc.perms import all_perms, boundary
-from arccalc.surfaces import ArcClass, SurfaceType, realizable_perms, simplex_genus
+from arccalc.surfaces import (
+    ArcClass,
+    SurfaceType,
+    _neighborhood_boundary,
+    cut_surface,
+    realizable_perms,
+    simplex_genus,
+)
 
 
 def column_of(page, p, word):
@@ -157,3 +164,16 @@ def test_column_genus_recorded():
     for p in range(1, 4):
         for s in page.column(p):
             assert s.genus == simplex_genus(ArcClass(s.perm, 1))
+
+
+def test_labels_read_each_boundary_count_once_uncached():
+    ambient = SurfaceType(4, 2)
+    _neighborhood_boundary.cache_clear()
+    page = e1_skeleton(ambient, 2, 6)
+    assert _neighborhood_boundary.cache_info().currsize == 0
+    # the labels agree with the ArcClass route, which goes through the cache
+    for p in range(1, 7):
+        for s in page.column(p):
+            a = ArcClass(s.perm, 2)
+            assert s.genus == simplex_genus(a)
+            assert s.stabilizer == cut_surface(ambient, a)

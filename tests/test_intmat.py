@@ -93,6 +93,11 @@ class TestMatrixBasics:
         m = from_dense([[0, -3], [7, 0]])
         assert m.to_triples() == '{"cols": 2, "rows": 2}\n0 1 -3\n1 0 7\n'
 
+    def test_triples_sort_each_row_by_column(self):
+        m = SparseIntMatrix.from_entries(2, 3, [(0, 2, 5), (0, 0, -1), (1, 1, 4)])
+        assert m.to_triples() == '{"cols": 3, "rows": 2}\n0 0 -1\n0 2 5\n1 1 4\n'
+        assert SparseIntMatrix(3, 2).to_triples() == '{"cols": 2, "rows": 3}\n'
+
 
 class TestSNFExamples:
     def test_already_diagonal(self):
