@@ -3,9 +3,9 @@ Command-line front end: every verification suite as a subcommand with
 machine-readable output.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.  Output is
-deterministic for a fixed configuration.  JSON reports are written as they
-are encoded, a block of encoder chunks at a time, so no whole-report string
-is held.
+deterministic for a fixed configuration.  Reports are written as they are
+rendered, JSON a block of encoder chunks at a time and CSV and table a line
+at a time, so no whole-report string is held.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 from itertools import islice
 from multiprocessing import get_context
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import complexes, e1page, ledger
 from .ribbon import oracle_boundary_count
@@ -146,12 +146,15 @@ def _check_degree_cap(value: int, parser: argparse.ArgumentParser, low: int = 1)
     return value
 
 
-def _oracle_block(task: tuple[int, int]) -> list[dict]:
+def _oracle_block(task: tuple[int, int]) -> tuple[int, list[dict]]:
+    """The number of words of one degree and side checked, and the mismatches."""
     degree, side = task
     from .perms import all_perms
 
+    checked = 0
     rows = []
     for w in all_perms(degree):
+        checked += 1
         # each word is counted once: the uncached count fills no cache
         formula = boundary_count(w, side)
         trace = oracle_boundary_count(ArcClass(w, side))
@@ -165,13 +168,14 @@ def _oracle_block(task: tuple[int, int]) -> list[dict]:
                     "trace": trace,
                 }
             )
-    return rows
+    return checked, rows
 
 
 def _pmap(fn, tasks: list, threads: int) -> list:
     if threads <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with get_context("fork").Pool(threads) as pool:
+    # a worker beyond one per task would only start and exit
+    with get_context("fork").Pool(min(threads, len(tasks))) as pool:
         # one task per chunk: the default chunksize can put the costliest
         # tasks (the last ones) in a single chunk, on a single worker
         return pool.map(fn, tasks, chunksize=1)
@@ -207,10 +211,9 @@ def run_invariants(args, parser) -> tuple[dict, tuple[str, ...], bool]:
 def run_oracle_diff(args, parser) -> tuple[dict, tuple[str, ...], bool]:
     cap = _check_degree_cap(args.max_degree, parser)
     tasks = [(d, side) for d in range(1, cap + 1) for side in (1, 2)]
-    rows = [row for block in _pmap(_oracle_block, tasks, args.threads) for row in block]
-    from math import factorial
-
-    checked = 2 * sum(factorial(d) for d in range(1, cap + 1))
+    blocks = _pmap(_oracle_block, tasks, args.threads)
+    rows = [row for _, block in blocks for row in block]
+    checked = sum(n for n, _ in blocks)
     return {"rows": rows, "checked": checked}, ("degree", "side", "perm", "formula", "trace"), not rows
 
 
@@ -326,30 +329,31 @@ def _json_blocks(report: dict) -> Iterator[str]:
     yield "\n"
 
 
-def _render(report: dict, columns: tuple[str, ...], fmt: str) -> Iterable[str]:
+def _render(report: dict, columns: tuple[str, ...], fmt: str) -> Iterator[str]:
+    """The report's text: JSON in blocks, CSV and table one line at a time."""
     if fmt == "json":
-        return _json_blocks(report)
+        yield from _json_blocks(report)
+        return
     rows = report["rows"]
     if fmt == "csv":
-        lines = [",".join(columns)]
+        yield ",".join(columns) + "\n"
         for r in rows:
-            lines.append(",".join(str(r.get(c, "")) for c in columns))
-        return ["\n".join(lines) + "\n"]
+            yield ",".join(str(r.get(c, "")) for c in columns) + "\n"
+        return
     widths = [max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c) for c in columns]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]
+    yield "  ".join(c.ljust(w) for c, w in zip(columns, widths)) + "\n"
     for r in rows:
-        lines.append("  ".join(str(r.get(c, "")).ljust(w) for c, w in zip(columns, widths)))
+        yield "  ".join(str(r.get(c, "")).ljust(w) for c, w in zip(columns, widths)) + "\n"
     summary = {k: v for k, v in report.items() if k not in ("rows", "d1", "command", "ok")}
     extras = "  ".join(f"{k}={v}" for k, v in sorted(summary.items()))
-    lines.append(f"ok: {report['ok']}" + (f"  ({extras})" if extras else ""))
-    return ["\n".join(lines) + "\n"]
+    yield f"ok: {report['ok']}" + (f"  ({extras})" if extras else "") + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.describe:
-        sys.stdout.write(json.dumps(describe(), sort_keys=True, indent=2) + "\n")
+        sys.stdout.writelines(_json_blocks(describe()))
         return 0
     if args.command is None:
         parser.error("a subcommand is required (or --describe)")

@@ -7,14 +7,17 @@ pivots each on its unit entry in the largest column; on the boundary
 matrices of lexicographic bases that this package produces, that is an
 echelon order with little fill-in, every pivot is unit, and coefficient
 growth never materializes in practice.  Other matrices fall back to any
-unit entry, or else an entry of least absolute value.
+unit entry, or else an entry of least absolute value.  A non-unit pivot
+reduces its whole column and row and then moves to the least remainder (the
+rule of Havas, Holt and Rees, 1993), which keeps coefficients small on
+torsion-heavy input, and it retires only once it divides every entry left,
+so the invariant factors form a divisibility chain as they are found.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 
@@ -121,7 +124,7 @@ class SNFResult:
 
 
 class _Eliminator:
-    """Row/column elimination state shared by the SNF passes."""
+    """Row/column elimination state of ``snf``."""
 
     def __init__(self, m: SparseIntMatrix, want_transforms: bool):
         self.nrows = m.nrows
@@ -138,7 +141,7 @@ class _Eliminator:
             self.u_rows = [{i: 1} for i in range(m.nrows)]
             self.vt_rows = [{j: 1} for j in range(m.ncols)]
 
-    # -- elementary operations; each keeps col_rows and transforms in sync --
+    # -- the elementary row operation; it keeps col_rows and U in sync --
 
     def row_op(self, dst: int, src: int, c: int) -> None:
         # row dst += c * row src
@@ -158,35 +161,26 @@ class _Eliminator:
         if self.u_rows is not None:
             _add_multiple(self.u_rows[dst], self.u_rows[src], c)
 
-    def col_op(self, dst: int, src: int, c: int) -> None:
-        # col dst += c * col src
-        rows, col_rows = self.rows, self.col_rows
-        for i in list(self.col_rows[src]):
-            row = rows[i]
-            new = row.get(dst, 0) + c * row[src]
-            if new:
-                row[dst] = new
-                col_rows[dst].add(i)
-            else:
-                row.pop(dst, None)
-                col_rows[dst].discard(i)
-        if self.vt_rows is not None:
-            _add_multiple(self.vt_rows[dst], self.vt_rows[src], c)
-
     # -- pivot clearing --
 
     def clear_pivot(self, pi: int, pj: int) -> tuple[int, int]:
         """
         Zero out the pivot's row and column except the pivot itself, and
         return the position where the pivot ends up.  The pivot is a
-        position, not a row: when a division leaves a remainder in row ``i``
-        (or column ``j``), that remainder becomes the pivot at ``(i, pj)``
-        (or ``(pi, j)``) and clearing starts over from there.  Terminates
-        because the pivot's absolute value strictly drops at every move.
+        position, not a row.  Every other entry of its column is reduced by
+        it; if remainders are left, the pivot moves to the row with the least
+        remainder at ``(i, pj)`` and clearing starts over.  The pivot row is
+        then reduced the same way, moving to the column with the least
+        remainder.  A non-unit pivot alone in its row and column retires
+        only once it divides every entry of the rows not yet retired: if one
+        does not, that row is added to the pivot row and clearing goes on.
+        So each pivot divides every later one.  Terminates because the
+        pivot's absolute value strictly drops at every move.
         """
         rows, col_rows, vt_rows = self.rows, self.col_rows, self.vt_rows
         while True:
             v = rows[pi][pj]
+            least = None
             for i in list(col_rows[pj]):
                 if i == pi:
                     continue
@@ -194,26 +188,40 @@ class _Eliminator:
                 if q:
                     self.row_op(i, pi, -q)
                 if pj in rows[i]:
-                    pi = i
-                    break
-            else:
-                # column pj now holds only the pivot, so the column operation
-                # "col j -= q * col pj" changes row pi alone: do it in place
-                row = rows[pi]
-                for j in list(row):
-                    if j == pj:
-                        continue
-                    q, r = divmod(row[j], v)
-                    if vt_rows is not None and q:
-                        _add_multiple(vt_rows[j], vt_rows[pj], -q)
-                    if r:
-                        row[j] = r
-                        pj = j
-                        break
+                    if least is None or abs(rows[i][pj]) < abs(rows[least][pj]):
+                        least = i
+            if least is not None:
+                pi = least
+                continue
+            # column pj now holds only the pivot, so the column operation
+            # "col j -= q * col pj" changes row pi alone: do it in place
+            row = rows[pi]
+            for j in list(row):
+                if j == pj:
+                    continue
+                q, r = divmod(row[j], v)
+                if vt_rows is not None and q:
+                    _add_multiple(vt_rows[j], vt_rows[pj], -q)
+                if r:
+                    row[j] = r
+                    if least is None or abs(r) < abs(row[least]):
+                        least = j
+                else:
                     del row[j]
                     col_rows[j].discard(pi)
-                else:
-                    return pi, pj
+            if least is not None:
+                pj = least
+                continue
+            if v == 1 or v == -1:
+                return pi, pj
+            # the pivot row holds v alone, so it is never the row picked
+            done = self.done_rows
+            for i, other in enumerate(rows):
+                if i not in done and any(x % v for x in other.values()):
+                    self.row_op(pi, i, 1)
+                    break
+            else:
+                return pi, pj
 
     def find_pivot(self) -> tuple[int, int] | None:
         """
@@ -255,10 +263,10 @@ def snf(m: SparseIntMatrix, want_transforms: bool = False) -> SNFResult:
     the invariant factors.
 
     No row or column is ever moved.  Each pivot is recorded at the position
-    where ``clear_pivot`` leaves it, alone in its row and column, and the
-    pivots are ordered once, by absolute value.  U then lists the pivot rows
-    in that order (negated where the pivot is negative) before the other
-    rows, and V the pivot columns before the other columns.
+    where ``clear_pivot`` leaves it, alone in its row and column and dividing
+    every entry left, so the pivots retire in divisibility order.  U lists
+    the pivot rows in that order (negated where the pivot is negative)
+    before the other rows, and V the pivot columns before the other columns.
     """
     e = _Eliminator(m, want_transforms)
     rows = e.rows
@@ -272,23 +280,6 @@ def snf(m: SparseIntMatrix, want_transforms: bool = False) -> SNFResult:
         pivots.append((pi, pj))
         e.done_rows.add(pi)
 
-    # A unit pivot divides every other pivot, so only non-unit pivots can
-    # break the divisibility chain: mix each such pair until none does.  The
-    # pair spans rows {rs, rt} and columns {cs, ct} and nothing else, so once
-    # the gcd pivot is cleared the other row holds the lcm in the other column.
-    chain = [k for k, (r, c) in enumerate(pivots) if abs(rows[r][c]) != 1]
-    changed = True
-    while changed:
-        changed = False
-        for s, t in combinations(chain, 2):
-            (rs, cs), (rt, ct) = pivots[s], pivots[t]
-            if rows[rt][ct] % rows[rs][cs]:
-                e.col_op(cs, ct, 1)
-                r, c = pivots[s] = e.clear_pivot(rs, cs)
-                pivots[t] = (rt if r == rs else rs, ct if c == cs else cs)
-                changed = True
-
-    pivots.sort(key=lambda rc: abs(rows[rc[0]][rc[1]]))
     factors = tuple(abs(rows[r][c]) for r, c in pivots)
     if not want_transforms:
         return SNFResult(factors, len(factors))

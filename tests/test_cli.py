@@ -135,7 +135,7 @@ class TestSuites:
         from arccalc.surfaces import _neighborhood_boundary
 
         _neighborhood_boundary.cache_clear()
-        assert _oracle_block((6, 1)) == []
+        assert _oracle_block((6, 1)) == (720, [])
         assert _neighborhood_boundary.cache_info().currsize == 0
 
     def test_oracle_diff_threads_match_serial(self):
@@ -148,6 +148,32 @@ class TestSuites:
 
         pids = _pmap(_pid_after_pause, list(range(16)), 2)
         assert pids[14] != pids[15]
+
+    def test_pmap_starts_no_worker_beyond_the_tasks(self, monkeypatch):
+        from arccalc import cli
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return [fn(t) for t in tasks]
+
+        class FakeContext:
+            Pool = SerialPool
+
+        monkeypatch.setattr(cli, "get_context", lambda method: FakeContext)
+        assert cli._pmap(abs, [-1, -2, -3], 64) == [1, 2, 3]
+        assert cli._pmap(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert sizes == [3, 2]
 
     def test_homology(self):
         res = run("homology", "--genus", "2", "--side", "1", "--format", "json")
@@ -242,6 +268,24 @@ class TestOutputContract:
             assert sum(1 for _ in chunks) > cli.JSON_BLOCK
         path = tmp_path / "report.json"
         assert run(*args, "--format", "json", "--output", str(path)).returncode == 0
+        assert path.read_bytes() == res.stdout.encode()
+
+    def test_line_formats_yield_one_line_at_a_time(self):
+        from arccalc.cli import _render
+
+        report = {"rows": [{"a": 1, "b": "x"}, {"a": 22}], "total": 2, "command": "c", "ok": True}
+        assert list(_render(report, ("a", "b"), "csv")) == ["a,b\n", "1,x\n", "22,\n"]
+        assert list(_render(report, ("a", "b"), "table")) == [
+            "a   b\n", "1   x\n", "22   \n", "ok: True  (total=2)\n",
+        ]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_line_formats_output_file_equals_stdout(self, fmt, tmp_path):
+        args = ("ledger", "--g-max", "6", "--k-max", "3", "--format", fmt)
+        res = run(*args)
+        assert res.returncode == 0 and len(res.stdout.splitlines()) > 10
+        path = tmp_path / "report.txt"
+        assert run(*args, "--output", str(path)).returncode == 0
         assert path.read_bytes() == res.stdout.encode()
 
     def test_describe_round_trips_with_help(self):

@@ -35,30 +35,42 @@ def dense_matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-@st.composite
-def unimodular(draw, n):
-    """An n x n integer matrix of determinant 1: the identity after random row additions."""
+def unimodular(randint, n):
+    """An n x n integer matrix of determinant 1: the identity after random row
+    additions.  ``randint(lo, hi)`` draws an integer in ``[lo, hi]``."""
     a = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(draw(st.integers(min_value=0, max_value=3 * n))):
-        src = draw(st.integers(min_value=0, max_value=n - 1))
-        dst = draw(st.integers(min_value=0, max_value=n - 1))
+    for _ in range(randint(0, 3 * n)):
+        src = randint(0, n - 1)
+        dst = randint(0, n - 1)
         if src != dst:
-            c = draw(st.integers(min_value=-30, max_value=30))
+            c = randint(-30, 30)
             a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
     return a
 
 
+def torsion_heavy(randint, choice):
+    """M = P D Q with unimodular P, Q: the invariant factors are those of the
+    torsion-heavy diagonal D, hidden behind large entries.  ``choice(seq)``
+    draws an element of ``seq``."""
+    n = randint(1, 15)
+    m = randint(1, 15)
+    diag = [choice(TORSION_DIAGONAL) for _ in range(min(n, m))]
+    d = [[diag[i] if i == j else 0 for j in range(m)] for i in range(n)]
+    return dense_matmul(dense_matmul(unimodular(randint, n), d), unimodular(randint, m))
+
+
 @st.composite
 def torsion_heavy_products(draw):
-    """M = P D Q with unimodular P, Q: the invariant factors are those of the
-    torsion-heavy diagonal D, hidden behind large entries."""
-    n = draw(st.integers(min_value=1, max_value=15))
-    m = draw(st.integers(min_value=1, max_value=15))
-    diag = draw(
-        st.lists(st.sampled_from(TORSION_DIAGONAL), min_size=min(n, m), max_size=min(n, m))
+    return torsion_heavy(
+        lambda lo, hi: draw(st.integers(min_value=lo, max_value=hi)),
+        lambda seq: draw(st.sampled_from(seq)),
     )
-    d = [[diag[i] if i == j else 0 for j in range(m)] for i in range(n)]
-    return dense_matmul(dense_matmul(draw(unimodular(n)), d), draw(unimodular(m)))
+
+
+def replay_torsion_heavy(seed):
+    """The ``torsion_heavy_products`` recipe with its draws taken from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return torsion_heavy(rng.randint, rng.choice)
 
 
 def check_with_transforms(dense, expected):
@@ -69,6 +81,7 @@ def check_with_transforms(dense, expected):
     assert (res.U @ m @ res.V) == diagonal(res.invariant_factors, m.nrows, m.ncols)
     assert abs(bareiss_det(res.U)) == 1
     assert abs(bareiss_det(res.V)) == 1
+    return res
 
 
 class TestMatrixBasics:
@@ -132,6 +145,23 @@ class TestSNFExamples:
     def test_pivot_moves(self, dense, expected):
         check_with_transforms(dense, expected)
 
+    @pytest.mark.parametrize(
+        "seed, shape, entry_bits",
+        [
+            pytest.param(288, (15, 14), 48, id="seed-288"),
+            pytest.param(2, (14, 14), 28, id="seed-2"),
+        ],
+    )
+    def test_torsion_heavy_recipe(self, seed, shape, entry_bits):
+        # pivot moves to the first remainder, not the least, grow the U and V
+        # entries of these to hundreds of thousands of bits in tens of seconds
+        dense = replay_torsion_heavy(seed)
+        assert (len(dense), len(dense[0])) == shape
+        assert max(abs(x).bit_length() for row in dense for x in row) == entry_bits
+        res = check_with_transforms(dense, tuple(dense_invariant_factors(dense)))
+        for t in (res.U, res.V):
+            assert all(abs(x).bit_length() < 1024 for _, _, x in t.entries())
+
     def test_rank(self):
         m = from_dense([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
         assert snf(m).rank == 2
@@ -168,14 +198,7 @@ class TestSNFAgainstDenseReferee:
             n = rng.randint(1, 12)
             m = rng.randint(1, 12)
             dense = random_dense(rng, n, m)
-            sparse = from_dense(dense)
-            expected = tuple(dense_invariant_factors(dense))
-            assert snf(sparse).invariant_factors == expected
-            res = snf(sparse, want_transforms=True)
-            assert res.invariant_factors == expected
-            assert (res.U @ sparse @ res.V) == diagonal(res.invariant_factors, n, m)
-            assert abs(bareiss_det(res.U)) == 1
-            assert abs(bareiss_det(res.V)) == 1
+            check_with_transforms(dense, tuple(dense_invariant_factors(dense)))
 
     @given(
         st.lists(
@@ -192,15 +215,7 @@ class TestSNFAgainstDenseReferee:
     @given(torsion_heavy_products())
     @settings(deadline=None, max_examples=40)
     def test_property_torsion_heavy_products(self, dense):
-        n, m = len(dense), len(dense[0])
-        sparse = from_dense(dense)
-        expected = tuple(dense_invariant_factors(dense))
-        assert snf(sparse).invariant_factors == expected
-        res = snf(sparse, want_transforms=True)
-        assert res.invariant_factors == expected
-        assert (res.U @ sparse @ res.V) == diagonal(res.invariant_factors, n, m)
-        assert abs(bareiss_det(res.U)) == 1
-        assert abs(bareiss_det(res.V)) == 1
+        check_with_transforms(dense, tuple(dense_invariant_factors(dense)))
 
     @given(st.data())
     @settings(deadline=None, max_examples=40)
