@@ -219,12 +219,23 @@ def homology(c: ChainComplex, d: int) -> HomologyGroup:
     Homology at degree ``d`` of the truncated complex: boundary maps into or
     out of absent degrees are zero, so the ends report kernels/cokernels of
     the truncation.  The degree itself must be present.
+
+    The boundary into ``d`` is cleared by the one out of it: when every
+    pivot of ``snf(∂_d)`` is a unit, the rows of ``∂_{d+1}`` at its pivot
+    columns are integer combinations of the other rows, because
+    ``∂_d @ ∂_{d+1} == 0``, so ``snf(∂_{d+1})`` skips them and finds the
+    same rank and invariant factors (the clearing of Chen and Kerber, 2011,
+    and Bauer, Kerber and Reininghaus, 2014; the argument is in
+    :mod:`arccalc.intmat`).  After a non-unit pick nothing is skipped.
     """
     if d < c.min_degree or d > c.max_degree:
         raise ValueError(f"degree {d} not present (range {c.min_degree}..{c.max_degree})")
-    out_rank = snf(c.boundary_matrix(d)).rank if d > c.min_degree else 0
+    out_rank, cleared = 0, frozenset()
+    if d > c.min_degree:
+        out = snf(c.boundary_matrix(d))
+        out_rank, cleared = out.rank, out.unit_pivot_columns
     if d < c.max_degree:
-        into = snf(c.boundary_matrix(d + 1))
+        into = snf(c.boundary_matrix(d + 1), skip_rows=cleared)
         in_rank = into.rank
         torsion = tuple(f for f in into.invariant_factors if f > 1)
     else:

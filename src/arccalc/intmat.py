@@ -12,6 +12,22 @@ reduces its whole column and row and then moves to the least remainder (the
 rule of Havas, Holt and Rees, 1993), which keeps coefficients small on
 torsion-heavy input, and it retires only once it divides every entry left,
 so the invariant factors form a divisibility chain as they are found.
+
+Homology clears a boundary matrix by the unit pivots of the one below it,
+the *clearing* of persistent homology (Chen and Kerber, "Persistent
+homology computation with a twist", 2011; Bauer, Kerber and Reininghaus,
+"Clear and compress", 2014) carried over to the integers.  Say
+``A @ B == 0`` and every pivot of ``snf(A)`` was picked as a unit.  When a
+unit pivot is picked, its row is still an integer combination of the rows
+of ``A`` (the column operations so far changed only retired pivot rows), it
+is zero in every earlier pivot column and a unit in its own.  Back
+substitution then gives, for each pivot column ``q``, a vector ``c`` in the
+row lattice of ``A`` that is ``e_q`` on the pivot columns, and
+``c @ B == 0``: row ``q`` of ``B`` is an integer combination of the rows of
+``B`` outside the pivot columns.  Dropping those rows leaves the row
+lattice of ``B``, so its rank and every invariant factor, unchanged.  A
+non-unit pick mixes rows by column operations, so after one no pivot
+column is offered for clearing.
 """
 
 from __future__ import annotations
@@ -115,20 +131,27 @@ class SparseIntMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Invariant factors ``d_1 | d_2 | ...`` with optional unimodular U, V."""
+    """
+    Invariant factors ``d_1 | d_2 | ...`` with optional unimodular U, V.
+    ``unit_pivot_columns`` holds the pivot columns of a run that picked
+    only unit pivots, and is empty after any non-unit pick.
+    """
 
     invariant_factors: tuple[int, ...]
     rank: int
     U: SparseIntMatrix | None = None
     V: SparseIntMatrix | None = None
+    unit_pivot_columns: frozenset[int] = frozenset()
 
 
 class _Eliminator:
     """Row/column elimination state of ``snf``."""
 
-    def __init__(self, m: SparseIntMatrix, want_transforms: bool):
+    def __init__(self, m: SparseIntMatrix, want_transforms: bool, skip_rows: frozenset[int]):
         self.nrows = m.nrows
-        self.rows: list[dict[int, int]] = [dict(r) for r in m._rows]
+        self.rows: list[dict[int, int]] = [
+            {} if i in skip_rows else dict(r) for i, r in enumerate(m._rows)
+        ]
         self.col_rows: list[set[int]] = [set() for _ in range(m.ncols)]
         for i, row in enumerate(self.rows):
             for j in row:
@@ -253,7 +276,9 @@ class _Eliminator:
         return best
 
 
-def snf(m: SparseIntMatrix, want_transforms: bool = False) -> SNFResult:
+def snf(
+    m: SparseIntMatrix, want_transforms: bool = False, skip_rows: frozenset[int] = frozenset()
+) -> SNFResult:
     """
     Smith normal form of ``m``.
 
@@ -262,27 +287,39 @@ def snf(m: SparseIntMatrix, want_transforms: bool = False) -> SNFResult:
     ``V`` (ncols x ncols) such that ``U @ m @ V`` is the diagonal matrix of
     the invariant factors.
 
+    The rows in ``skip_rows`` are treated as absent.  Passing
+    ``snf(a).unit_pivot_columns`` for an ``a`` with ``a @ m == 0`` clears
+    ``m``: those rows are integer combinations of the others (see the module
+    docstring), so the factors and rank are those of ``m`` itself.  U would
+    no longer be unimodular, so ``skip_rows`` with ``want_transforms``
+    raises ``ValueError``.
+
     No row or column is ever moved.  Each pivot is recorded at the position
     where ``clear_pivot`` leaves it, alone in its row and column and dividing
     every entry left, so the pivots retire in divisibility order.  U lists
     the pivot rows in that order (negated where the pivot is negative)
     before the other rows, and V the pivot columns before the other columns.
     """
-    e = _Eliminator(m, want_transforms)
+    if skip_rows and want_transforms:
+        raise ValueError("skip_rows and want_transforms exclude each other")
+    e = _Eliminator(m, want_transforms, skip_rows)
     rows = e.rows
     pivots: list[tuple[int, int]] = []
+    units_only = True
 
     while True:
         pick = e.find_pivot()
         if pick is None:
             break
+        units_only = units_only and rows[pick[0]][pick[1]] in (1, -1)
         pi, pj = e.clear_pivot(*pick)
         pivots.append((pi, pj))
         e.done_rows.add(pi)
 
     factors = tuple(abs(rows[r][c]) for r, c in pivots)
+    cleared = frozenset(c for _, c in pivots) if units_only else frozenset()
     if not want_transforms:
-        return SNFResult(factors, len(factors))
+        return SNFResult(factors, len(factors), unit_pivot_columns=cleared)
     sign = {r: -1 for r, c in pivots if rows[r][c] < 0}
     u = SparseIntMatrix(m.nrows, m.nrows)
     u._rows = [
@@ -291,7 +328,7 @@ def snf(m: SparseIntMatrix, want_transforms: bool = False) -> SNFResult:
     ]
     vt = SparseIntMatrix(m.ncols, m.ncols)
     vt._rows = [e.vt_rows[c] for c in _pivots_first([c for _, c in pivots], m.ncols)]
-    return SNFResult(factors, len(factors), u, vt.transpose())
+    return SNFResult(factors, len(factors), u, vt.transpose(), cleared)
 
 
 def _add_multiple(dst: dict[int, int], src: dict[int, int], c: int) -> None:

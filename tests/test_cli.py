@@ -40,6 +40,24 @@ class TestExitCodes:
         )
         assert cli.main(["exceptions", "--case", "inj-s11"]) == 1
 
+    @pytest.mark.parametrize("failures_only", [False, True])
+    def test_ledger_failure_rows_and_total(self, monkeypatch, capsys, failures_only):
+        from arccalc import cli, ledger
+
+        obligations = [
+            ledger.Obligation("a", {"k": 1, "g": 2}, "3 >= 2", True),
+            ledger.Obligation("b", {"g": 0}, "0 >= 1", False),
+        ]
+        monkeypatch.setattr(ledger, "main_theorem_ledger", lambda g_max, k_max: list(obligations))
+        argv = ["ledger", "--format", "json"] + ["--failures-only"] * failures_only
+        assert cli.main(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["total"] == 2
+        rows = [{"claim": "b", "params": "g=0", "inequality": "0 >= 1", "holds": False}]
+        if not failures_only:
+            rows.insert(0, {"claim": "a", "params": "g=2;k=1", "inequality": "3 >= 2", "holds": True})
+        assert report["rows"] == rows
+
     def test_homotopy_checking_nothing_fails(self):
         res = run("homotopy", "--max-degree", "1", "--format", "json")
         assert res.returncode == 1

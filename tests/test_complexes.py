@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import cache
 from math import factorial
 
 import pytest
@@ -196,6 +197,84 @@ class TestHomology:
     def test_report_json_fields(self):
         rows = exactness_report(2, 2, 5)
         assert {"degree", "betti", "torsion", "trivial", "guaranteed"} <= set(rows[0])
+
+
+def rank_gf2(m):
+    """
+    Rank over GF(2), sharing no code with ``snf``: each row is one int
+    bitmask of its odd entries, reduced by XOR against the kept row with the
+    same lowest set bit until it is zero or has a new lowest bit.
+    """
+    masks = [0] * m.nrows
+    for i, j, v in m.entries():
+        if v % 2:
+            masks[i] |= 1 << j
+    kept = {}
+    for row in masks:
+        while row:
+            low = row & -row
+            if low not in kept:
+                kept[low] = row
+                break
+            row ^= kept[low]
+    return len(kept)
+
+
+@cache
+def through_degree_7(g, side):
+    """The quotient complex at ``g, side`` to degree 7, or the full one for ``g`` of None."""
+    return perm_complex(7) if g is None else quotient_complex(g, side, 7)
+
+
+THROUGH_DEGREE_7 = [pytest.param(None, None, id="full")] + [
+    pytest.param(g, side, id=f"g{g}-s{side}") for g in range(2, 8) for side in (1, 2)
+]
+
+
+def check_cleared(c, d):
+    """
+    ``∂_{d+1}`` cleared by the unit pivots of ``∂_d`` has the invariant
+    factors of ``∂_{d+1}``; every pivot of ``∂_d`` is a unit, so the columns
+    offered for clearing number its rank.  Returns how many rows were
+    skipped and the cleared result.
+    """
+    out = snf(c.boundary_matrix(d))
+    assert len(out.unit_pivot_columns) == out.rank
+    b = c.boundary_matrix(d + 1)
+    cleared = snf(b, skip_rows=out.unit_pivot_columns)
+    assert cleared.invariant_factors == snf(b).invariant_factors
+    return out.rank, cleared
+
+
+def check_gf2_rank(m, res):
+    assert rank_gf2(m) == res.rank - sum(f % 2 == 0 for f in res.invariant_factors)
+
+
+class TestClearing:
+    @pytest.mark.parametrize("g, side", THROUGH_DEGREE_7)
+    def test_cleared_factors_equal_the_full_ones(self, g, side):
+        c = through_degree_7(g, side)
+        for d in range(2, 7):
+            check_cleared(c, d)
+
+    @pytest.mark.parametrize("g, side", THROUGH_DEGREE_7)
+    def test_gf2_rank_referees_the_cleared_ranks(self, g, side):
+        # the ranks homology uses: each matrix cleared by the one below it
+        c = through_degree_7(g, side)
+        cleared = frozenset()
+        for d in range(2, 8):
+            m = c.boundary_matrix(d)
+            res = snf(m, skip_rows=cleared)
+            check_gf2_rank(m, res)
+            cleared = res.unit_pivot_columns
+
+    @pytest.mark.parametrize("g, side", [(4, 1), (7, 2)])
+    def test_degree_8_cleared_to_full_row_rank(self, g, side):
+        c = quotient_complex(g, side, 8)
+        skipped, res = check_cleared(c, 7)
+        m = c.boundary_matrix(8)
+        assert res.rank == m.nrows - skipped
+        check_gf2_rank(m, res)
 
 
 class TestHomotopy:

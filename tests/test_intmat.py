@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import arccalc
 from arccalc.intmat import SparseIntMatrix, snf
 
 from dense_snf import dense_invariant_factors
@@ -237,3 +241,65 @@ class TestSNFAgainstDenseReferee:
             fs = snf(from_dense(dense)).invariant_factors
             assert all(fs[i + 1] % fs[i] == 0 for i in range(len(fs) - 1))
             assert all(f > 0 for f in fs)
+
+
+class TestClearing:
+    def test_unit_picks_report_their_pivot_columns(self):
+        # rows 0 and 1 pivot on their units in the largest column
+        res = snf(from_dense([[1, 1, 0], [0, 1, -1], [1, 2, -1]]))
+        assert res.invariant_factors == (1, 1)
+        assert res.unit_pivot_columns == frozenset({1, 2})
+
+    @pytest.mark.parametrize(
+        "dense",
+        [
+            pytest.param([[2, 3], [3, 2]], id="no-unit-entry"),
+            # row 0 pivots on a unit; row 1 then has only the non-unit 2
+            pytest.param([[1, 0, 0], [0, 2, 0]], id="unit-then-non-unit"),
+        ],
+    )
+    def test_a_non_unit_pick_reports_no_pivot_column(self, dense):
+        assert snf(from_dense(dense)).unit_pivot_columns == frozenset()
+
+    def test_skipped_rows_are_absent(self):
+        m = from_dense([[2, 0], [0, 3], [0, 0]])
+        assert snf(m, skip_rows=frozenset({1})).invariant_factors == (2,)
+        assert snf(m, skip_rows=frozenset({0, 1})).invariant_factors == ()
+
+    def test_skip_rows_with_transforms_raises(self):
+        with pytest.raises(ValueError):
+            snf(from_dense([[1]]), want_transforms=True, skip_rows=frozenset({0}))
+
+    def test_skip_rows_with_transforms_raises_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(arccalc.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "from arccalc.intmat import SparseIntMatrix, snf\n"
+            "m = SparseIntMatrix.from_entries(1, 1, [(0, 0, 1)])\n"
+            "try:\n"
+            "    snf(m, want_transforms=True, skip_rows=frozenset({0}))\n"
+            "except ValueError:\n"
+            "    print('raised')\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "raised"
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_property_clearing_keeps_the_factors(self, data):
+        # the rows of U past the rank span the left kernel of B, so any
+        # integer combinations of them make an A with A @ B == 0; their
+        # entries need not be units, and then A offers no column to clear
+        b = from_dense(data.draw(torsion_heavy_products()))
+        res = snf(b, want_transforms=True)
+        kernel = res.U.to_dense()[res.rank :] or [[0] * b.nrows]
+        coeffs = st.lists(
+            st.integers(min_value=-3, max_value=3), min_size=len(kernel), max_size=len(kernel)
+        )
+        a = from_dense(dense_matmul(data.draw(st.lists(coeffs, min_size=1, max_size=6)), kernel))
+        assert (a @ b).is_zero()
+        cleared = snf(b, skip_rows=snf(a).unit_pivot_columns)
+        assert cleared.invariant_factors == res.invariant_factors
