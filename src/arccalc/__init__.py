@@ -22,6 +22,7 @@ from .surfaces import (
     SurfaceType,
     boundary_of_neighborhood,
     cut_surface,
+    genus_counts,
     glue,
     realizable,
     realizable_perms,

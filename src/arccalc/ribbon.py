@@ -10,8 +10,10 @@ and boundary circles of the thickening are exactly the faces obtained by
 tracing dart orbits.  No cycle-count formula enters anywhere here, so the
 trace count is an independent check of the closed-form one.
 
-Darts are ``(edge, end)`` pairs: arcs are edges ``0..p-1`` oriented from
-vertex 0 to vertex 1, and edges ``p`` and ``p+1`` carry the boundary circles.
+Darts are ints: dart ``2*e + end`` is end ``end`` of edge ``e``, its partner
+is ``d ^ 1``, and integer order is the order of the ``(edge, end)`` pairs.
+Arcs are edges ``0..p-1`` oriented from vertex 0 to vertex 1, and edges
+``p`` and ``p+1`` carry the boundary circles.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from .perms import inverse
 from .surfaces import ArcClass
 
-Dart = tuple[int, int]
+Dart = int  # 2*edge + end
 
 
 @dataclass(frozen=True)
@@ -33,17 +35,10 @@ class RibbonGraph:
     rotations: tuple[tuple[Dart, ...], tuple[Dart, ...]]
 
     def __post_init__(self) -> None:
-        seen: set[Dart] = set()
-        for rot in self.rotations:
-            for d in rot:
-                if d in seen:
-                    raise ValueError(f"dart {d} appears twice")
-                seen.add(d)
-        for d in seen:
-            if involution(d) not in seen:
-                raise ValueError(f"dart {d} has no partner")
-        if len(seen) != 2 * self.edge_count:
-            raise ValueError("dart count does not match edge count")
+        # catches a repeated dart, a missing partner and a wrong dart count
+        rot0, rot1 = self.rotations
+        if sorted([*rot0, *rot1]) != list(range(2 * self.edge_count)):
+            raise ValueError(f"rotations must hold each dart 0..{2 * self.edge_count - 1} exactly once")
 
     @property
     def vertex_count(self) -> int:
@@ -59,8 +54,7 @@ class RibbonGraph:
 
 
 def involution(d: Dart) -> Dart:
-    e, end = d
-    return (e, 1 - end)
+    return d ^ 1
 
 
 def build_ribbon(a: ArcClass) -> RibbonGraph:
@@ -74,40 +68,42 @@ def build_ribbon(a: ArcClass) -> RibbonGraph:
     """
     p = a.arc_count
     inv = inverse(a.perm)
-    at_v1 = [(inv[j], 1) for j in range(p - 1, -1, -1)]
+    at_v0 = range(0, 2 * p, 2)
+    at_v1 = [2 * inv[j] + 1 for j in range(p - 1, -1, -1)]
+    b, c = 2 * p, 2 * p + 2  # first darts of the boundary edges p, p + 1
     if a.side == 2:
-        rot0 = [(p, 0)] + [(j, 0) for j in range(p)] + [(p, 1)]
-        rot1 = [(p + 1, 0)] + at_v1 + [(p + 1, 1)]
+        rot0 = (b, *at_v0, b + 1)
+        rot1 = (c, *at_v1, c + 1)
     else:
-        rot0 = [(p, 0)] + [(j, 0) for j in range(p)] + [(p + 1, 0)]
-        rot1 = [(p + 1, 1)] + at_v1 + [(p, 1)]
-    return RibbonGraph(p, a.side, (tuple(rot0), tuple(rot1)))
+        rot0 = (b, *at_v0, c)
+        rot1 = (c + 1, *at_v1, b + 1)
+    return RibbonGraph(p, a.side, (rot0, rot1))
 
 
 def trace_faces(graph: RibbonGraph) -> tuple[tuple[Dart, ...], ...]:
     """
-    Orbits of ``dart -> successor(partner(dart))``, each rotated to start at
-    its least dart; orbits sorted by that least dart.
+    Orbits of ``dart -> successor(partner(dart))``, each starting at its
+    least dart; orbits sorted by that least dart.
     """
-    succ: dict[Dart, Dart] = {}
+    step = [0] * (2 * graph.edge_count)
     for rot in graph.rotations:
-        n = len(rot)
-        for i, d in enumerate(rot):
-            succ[d] = rot[(i + 1) % n]
+        for d, after in zip(rot, rot[1:] + rot[:1]):
+            step[d ^ 1] = after
 
-    faces: list[tuple[Dart, ...]] = []
-    todo = set(succ)
-    while todo:
-        start = min(todo)
+    # rising starts that skip traced darts meet each orbit at its least dart
+    seen = bytearray(len(step))
+    faces = []
+    for start in range(len(step)):
+        if seen[start]:
+            continue
         orbit = [start]
-        todo.discard(start)
-        d = succ[involution(start)]
+        d = step[start]
         while d != start:
             orbit.append(d)
-            todo.discard(d)
-            d = succ[involution(d)]
+            seen[d] = 1
+            d = step[d]
         faces.append(tuple(orbit))
-    return tuple(sorted(faces))
+    return tuple(faces)
 
 
 def oracle_boundary_count(a: ArcClass) -> int:
@@ -127,6 +123,6 @@ def debug_dump(a: ArcClass) -> dict:
     graph = build_ribbon(a)
     return {
         "arc_class": a.to_json(),
-        "rotations": [[list(d) for d in rot] for rot in graph.rotations],
-        "faces": [[list(d) for d in f] for f in trace_faces(graph)],
+        "rotations": [[list(divmod(d, 2)) for d in rot] for rot in graph.rotations],
+        "faces": [[list(divmod(d, 2)) for d in f] for f in trace_faces(graph)],
     }

@@ -168,6 +168,35 @@ def realizable_perms(p: int, side: int, g: int) -> tuple[Perm, ...]:
     return tuple(w for w in all_perms(p) if _realizable(w, side, g, boundary_count(w, side)))
 
 
+def genus_counts(p: int, side: int) -> tuple[int, ...]:
+    """
+    The number of degree-``p`` words of each simplex genus ``s`` on ``side``,
+    indexed by ``s``, in closed form: ``2 c(p+1, p-2s) / (p+1)`` on side 2
+    and ``2 c(p+2, p+1-2s) / ((p+1)(p+2))`` on side 1, with ``c(n, k)`` the
+    unsigned Stirling numbers of the first kind.  The boundary count less
+    ``side`` is the cycle count of ``rot . sigma`` with ``sigma =
+    w^-1 . rot^-1 . w``, which runs over the long cycles of ``S_p`` (each
+    met ``p`` times) on side 2 and of ``S_{p+1}`` (via ``hat``, each met
+    once) on side 1; Zagier (1995) counts those cycles by that count.
+
+    >>> genus_counts(3, 1)
+    (1, 5)
+    >>> genus_counts(4, 2)
+    (4, 20)
+    """
+    if p < 1:
+        raise ValueError("degree must be >= 1")
+    if side not in SIDES:
+        raise ValueError("side must be 1 or 2")
+    n = p + 3 - side
+    # row n of c, by c(m + 1, k) = m c(m, k) + c(m, k - 1)
+    row = [1]
+    for m in range(n):
+        row = [m * a + b for a, b in zip(row + [0], [0] + row)]
+    div = n if side == 2 else n * (n - 1)
+    return tuple(2 * row[n - 1 - 2 * s] // div for s in range(n // 2))
+
+
 def cut_surface(ambient: SurfaceType, a: ArcClass) -> SurfaceType:
     """
     Type of the complement of the thickened arc system inside ``ambient``.

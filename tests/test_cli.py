@@ -148,6 +148,19 @@ class TestSuites:
         assert data["ok"] and data["rows"] == []
         assert data["checked"] == 2 * (1 + 2 + 6 + 24 + 120)
 
+    def test_oracle_diff_reports_a_mismatch(self, monkeypatch, capsys):
+        from arccalc import cli
+
+        count = cli.boundary_count
+        monkeypatch.setattr(
+            cli, "boundary_count", lambda w, side: count(w, side) + ((w, side) == ((1, 2, 0), 2))
+        )
+        assert cli.main(["oracle-diff", "--max-degree", "3", "--format", "json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["rows"] == [{"degree": 3, "side": 2, "perm": "1,2,0", "formula": 6, "trace": 5}]
+        assert data["checked"] == 2 * (1 + 2 + 6)
+        assert not data["ok"]
+
     def test_oracle_block_fills_no_cache(self):
         from arccalc.cli import _oracle_block
         from arccalc.surfaces import _neighborhood_boundary

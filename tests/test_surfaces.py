@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from arccalc.perms import all_perms, compose, cycle_count, face, hat, identity, inverse, rotation
@@ -6,7 +8,9 @@ from arccalc.surfaces import (
     ArcClass,
     SurfaceType,
     boundary_of_neighborhood,
+    boundary_count,
     cut_surface,
+    genus_counts,
     glue,
     realizable,
     realizable_perms,
@@ -151,6 +155,29 @@ class TestRealizability:
                         assert all(
                             realizable(ArcClass(face(w, j), side), g) for j in range(p)
                         )
+
+
+class TestGenusCounts:
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_matches_enumeration(self, side):
+        for p in range(1, 9):
+            tally = Counter((p + 2 - boundary_count(w, side)) // 2 for w in all_perms(p))
+            assert dict(enumerate(genus_counts(p, side))) == tally, p
+
+    def test_counts_realizable_words(self):
+        # realizable at genus g: simplex genus >= p + 1 - g - side
+        for p in range(1, 7):
+            for side in (1, 2):
+                counts = genus_counts(p, side)
+                for g in range(2, 8):
+                    low = max(0, p + 1 - g - side)
+                    assert sum(counts[low:]) == len(realizable_perms(p, side, g)), (p, side, g)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            genus_counts(0, 1)
+        with pytest.raises(ValueError):
+            genus_counts(3, 3)
 
 
 class TestCutSurface:
