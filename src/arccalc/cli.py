@@ -234,8 +234,12 @@ def run_homotopy(args, parser) -> tuple[dict, tuple[str, ...], bool]:
     cap = _check_degree_cap(args.max_degree, parser)
     if (args.genus is None) != (args.side is None):
         parser.error("--genus and --side go together")
-    if args.genus is not None and args.genus < 2:
-        parser.error("quotient genus must be >= 2")
+    if args.genus is not None:
+        # a genus below 2, or a top degree g+side-1 over the cap
+        try:
+            complexes._quotient_lift_top(args.genus, args.side)
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.samples < 0:
         parser.error("--samples must be >= 0")
     if args.sample_degree and not args.samples:

@@ -18,20 +18,21 @@ is face ``j-1`` of that pattern, so its rank is
 ``(v - [w[j] < v]) * (k-2)! + F[t][j-1]`` with ``F`` the face-rank table of
 S_{k-1}.  Each :func:`face_matrix` call builds the tables it needs by the
 same recursion, for the symmetric groups below the degree of its columns
-only; the tuple :func:`~arccalc.perms.face` stays the route of the
-contraction checks.
+only.  The contraction checks take another route, independent of these
+tables: they run on byte-string words (byte ``i`` is ``w(i)``), whose faces
+come from :func:`~arccalc.perms.faces` and whose lift prepends a fixed point
+with :func:`~arccalc.perms.hat`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from math import factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .intmat import SparseIntMatrix, snf
-from .perms import Perm, all_perms, face, hat, identity
+from .perms import Perm, all_perms, face, faces, hat, identity
 from .surfaces import ArcClass, realizable, realizable_perms
 
 DEFAULT_DEGREE_CAP = 7
@@ -292,33 +293,40 @@ class HomotopyReport:
         }
 
 
-def _contracts(word: Perm, lift: Callable[[Perm], Perm | None]) -> bool:
+# the sign of face j, for each of the at most 256 faces of a byte word
+_SIGNS = (1, -1) * 128
+
+
+def _contracts(word: bytes, lift: Callable[[bytes], bytes | None]) -> bool:
     """
-    Whether boundary-of-lift plus lift-of-boundary sends ``word`` to itself.
-    ``lift`` maps a word to one word, or to ``None`` for zero.  Every face is
-    taken by the tuple :func:`~arccalc.perms.face`, of ``lift(word)`` and of
-    ``word``, and the signed terms of both sides are summed in one dict.
+    Whether boundary-of-lift plus lift-of-boundary sends the byte word
+    ``word`` to itself.  ``lift`` maps a byte word to one byte word, or to
+    ``None`` for zero.  The faces of ``lift(word)`` and of ``word`` come from
+    :func:`~arccalc.perms.faces`, and the signed terms of both sides are
+    summed in one dict keyed by bytes.
     """
-    acc: dict[Perm, int] = {}
+    acc: dict[bytes, int] = {}
     lifted = lift(word)
     if lifted is not None:
-        for j in range(len(lifted)):
-            f = face(lifted, j)
-            acc[f] = acc.get(f, 0) + (-1) ** j
-    for j in range(len(word)):
-        f = lift(face(word, j))
+        for f, sign in zip(faces(lifted), _SIGNS):
+            acc[f] = acc.get(f, 0) + sign
+    for f, sign in zip(faces(word), _SIGNS):
+        f = lift(f)
         if f is not None:
-            acc[f] = acc.get(f, 0) + (-1) ** j
-    return {f: c for f, c in acc.items() if c} == {word: 1}
+            acc[f] = acc.get(f, 0) + sign
+    return acc.pop(word, 0) == 1 and not any(acc.values())
 
 
-def _contraction_report(words: Iterable[Perm], lift: Callable[[Perm], Perm | None]) -> HomotopyReport:
-    """Count ``words`` and collect those that :func:`_contracts` rejects."""
+def _contraction_report(words: Iterable[Perm], lift: Callable[[bytes], bytes | None]) -> HomotopyReport:
+    """
+    Count ``words`` and collect those that :func:`_contracts` rejects.  Each
+    word is checked as ``bytes(word)`` and recorded as given.
+    """
     checked = 0
     failures = []
     for word in words:
         checked += 1
-        if not _contracts(word, lift):
+        if not _contracts(bytes(word), lift):
             failures.append(word)
     return HomotopyReport(checked, tuple(failures))
 
@@ -369,13 +377,36 @@ def quotient_contraction(g: int, side: int, word: Perm) -> Perm | None:
     return (2, 0, 1, *range(3, top + 1))
 
 
+def _quotient_lift_top(g: int, side: int) -> int:
+    """
+    The top degree ``g + side - 1`` of the quotient lift's guaranteed range.
+    Every word up to it is realizable, so the range holds all of each
+    symmetric group: a top degree over ``MAX_DEGREE_CAP`` raises
+    ``ValueError``, as does a genus below 2.
+    """
+    if g < 2:
+        raise ValueError("quotient complex needs genus >= 2")
+    top = g + side - 1
+    if top > MAX_DEGREE_CAP:
+        raise ValueError(f"quotient lift top degree g+side-1 = {top} is over {MAX_DEGREE_CAP}")
+    return top
+
+
 def verify_quotient_homotopy(g: int, side: int) -> HomotopyReport:
     """
     Check that the lifted contraction contracts the quotient complex in the
     guaranteed range: for every basis word of degree ``2 <= d <= g-1+side``,
     contraction-of-boundary plus boundary-of-contraction returns the word.
+    The range is checked by :func:`_quotient_lift_top` before any word is
+    enumerated.
     """
-    if g < 2:
-        raise ValueError("quotient complex needs genus >= 2")
-    words = (w for d in range(2, g + side) for w in realizable_perms(d, side, g))
-    return _contraction_report(words, partial(quotient_contraction, g, side))
+    top = _quotient_lift_top(g, side)
+
+    def lift(word: bytes) -> bytes | None:
+        # the module-level name is read at each call, so a patched
+        # quotient_contraction is the one checked
+        lifted = quotient_contraction(g, side, tuple(word))
+        return None if lifted is None else bytes(lifted)
+
+    words = (w for d in range(2, top + 1) for w in realizable_perms(d, side, g))
+    return _contraction_report(words, lift)

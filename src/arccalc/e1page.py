@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .complexes import face_matrix, quotient_complex
 from .intmat import SparseIntMatrix
-from .perms import Perm, face
+from .perms import Perm, faces
 from .surfaces import SurfaceType, _cut_surface, _genus, boundary_count, realizable_perms
 
 
@@ -166,9 +166,9 @@ def cancellation_report(word: Perm) -> dict[Perm, int]:
             j += 2
         else:
             j += 1
-    acc: dict[Perm, int] = {}
-    for j in range(k):
+    # summed on byte words; only the surviving faces become tuples
+    acc: dict[bytes, int] = {}
+    for j, f in enumerate(faces(bytes(word))):
         if alive[j]:
-            f = face(word, j)
             acc[f] = acc.get(f, 0) + (-1) ** j
-    return {f: c for f, c in acc.items() if c}
+    return {tuple(f): c for f, c in acc.items() if c}

@@ -6,6 +6,15 @@ A permutation ``x`` of degree ``k`` is the tuple ``(x(0), ..., x(k-1))``.
 Functions accept any integer sequence and return plain tuples, so every value
 is hashable, immutable and safe to share between threads.
 
+A word may also be a byte string whose byte ``i`` is ``x(i)``.  The face
+calculus keeps the kind it is given: :func:`faces`, :func:`face` and
+:func:`hat` return byte strings for a ``bytes`` argument and tuples for any
+other integer sequence, with the same values either way.  Both kinds are
+computed on bytes, a face by one slice and one ``bytes.translate`` through a
+renumbering table, so a word of degree over 256, an entry outside
+``range(256)``, or a :func:`hat` argument of degree over 255 raises
+``ValueError`` rather than wrapping.  The supported degrees stop at 8.
+
 Composition convention: ``compose(a, b)`` applies ``b`` first, so
 ``compose(a, b)(x) == a(b(x))``.
 """
@@ -116,23 +125,59 @@ def rotation(k: int) -> Perm:
     return tuple((j + 1) % k for j in range(k))
 
 
-def hat(t: Sequence[int]) -> Perm:
+# translation tables, sliced from one identity table to keep import cheap
+_ID = bytes(range(256))
+# _RENUMBER[v] maps x to x - [x > v]: the values left when v is deleted
+_RENUMBER = [_ID[:v + 1] + _ID[v:255] for v in range(256)]
+# x to x + 1; 255 has no image and is rejected before the table is read
+_UP = _ID[1:] + b"\0"
+
+
+def hat(t: Sequence[int]) -> Perm | bytes:
     """
     Prepend the fixed point 0: the result has degree ``k+1``, fixes 0, and
-    sends ``j`` to ``t(j-1)+1`` for ``j >= 1``.
+    sends ``j`` to ``t(j-1)+1`` for ``j >= 1``.  Bytes in, bytes out;
+    otherwise a tuple.
 
     >>> hat((1, 2, 0))
     (0, 2, 3, 1)
+    >>> hat(bytes((1, 2, 0)))
+    b'\\x00\\x02\\x03\\x01'
     >>> cycle_count(hat((1, 0))) == cycle_count((1, 0)) + 1
     True
     """
-    return (0, *[x + 1 for x in t])
+    if len(t) > 255:
+        raise ValueError(f"hat of degree {len(t)} would have degree {len(t) + 1}, over 256")
+    w = t if isinstance(t, bytes) else bytes(t)
+    if 255 in w:
+        raise ValueError("entry 255 has no successor in a byte word")
+    lifted = b"\0" + w.translate(_UP)
+    return lifted if w is t else tuple(lifted)
 
 
-def face(a: Sequence[int], j: int) -> Perm:
+def faces(a: Sequence[int]) -> list[Perm] | list[bytes]:
     """
-    Delete the entry at position ``j`` and renumber, subtracting 1 from every
-    remaining value that exceeds the deleted one.
+    Every face of ``a``, face ``j`` at index ``j``: delete the entry at
+    position ``j`` and renumber, subtracting 1 from every remaining value
+    that exceeds the deleted one.  Bytes in, bytes out; otherwise tuples.
+
+    >>> faces((0, 2, 1))
+    [(1, 0), (0, 1), (0, 1)]
+    >>> faces(bytes((0, 2, 1)))
+    [b'\\x01\\x00', b'\\x00\\x01', b'\\x00\\x01']
+    """
+    if len(a) < 2:
+        raise ValueError("no faces below degree 2")
+    if len(a) > 256:
+        raise ValueError(f"faces of degree {len(a)}: a byte word has degree at most 256")
+    w = a if isinstance(a, bytes) else bytes(a)
+    out = [(w[:j] + w[j + 1:]).translate(_RENUMBER[v]) for j, v in enumerate(w)]
+    return out if w is a else [tuple(f) for f in out]
+
+
+def face(a: Sequence[int], j: int) -> Perm | bytes:
+    """
+    Face ``j`` of ``a``, as in :func:`faces`.
 
     >>> face((0, 2, 1), 0)
     (1, 0)
@@ -141,15 +186,9 @@ def face(a: Sequence[int], j: int) -> Perm:
     >>> face(identity(4), 2)
     (0, 1, 2)
     """
-    k = len(a)
-    if k < 2:
-        raise ValueError("no faces below degree 2")
-    if not 0 <= j < k:
-        raise ValueError(f"face index {j} out of range for degree {k}")
-    v = a[j]
-    rest = list(a)
-    del rest[j]
-    return tuple([x - 1 if x > v else x for x in rest])
+    if not 0 <= j < len(a):
+        raise ValueError(f"face index {j} out of range for degree {len(a)}")
+    return faces(a)[j]
 
 
 @dataclass(frozen=True)
@@ -203,9 +242,7 @@ def boundary(a: Sequence[int]) -> FormalSum:
     >>> boundary(identity(4)).is_zero()
     True
     """
-    return FormalSum.from_terms(
-        ((-1) ** j, face(a, j)) for j in range(len(a))
-    )
+    return FormalSum.from_terms(((-1) ** j, f) for j, f in enumerate(faces(a)))
 
 
 def homotopy_d_on_sum(s: FormalSum) -> FormalSum:

@@ -80,10 +80,24 @@ class TestExitCodes:
             raise AssertionError("a check ran before the arguments were validated")
 
         monkeypatch.setattr(complexes, "verify_homotopy", no_check)
-        for extra in (["--samples", "3", "--sample-degree", "9"], ["--genus", "1", "--side", "1"]):
+        for extra in (
+            ["--samples", "3", "--sample-degree", "9"],
+            ["--genus", "1", "--side", "1"],
+            ["--genus", "8", "--side", "2"],  # quotient lift top degree 9
+        ):
             with pytest.raises(SystemExit) as exc:
                 cli.main(["homotopy", "--max-degree", "8", *extra])
             assert exc.value.code == 2, extra
+
+    @pytest.mark.parametrize("optimize", [[], ["-O"]])
+    def test_quotient_lift_over_the_degree_cap_is_usage_error(self, optimize):
+        # genus 8 on side 2 would lift all of S_9; the check raises, not asserts
+        res = subprocess.run(
+            [sys.executable, *optimize, "-m", "arccalc.cli", "homotopy", "--genus", "8", "--side", "2"],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr and "over 8" in res.stderr
 
     def test_homology_reporting_no_degree_is_usage_error(self):
         # the report covers degrees 2 .. max-degree - 1

@@ -24,7 +24,7 @@ from arccalc.complexes import (
     verify_quotient_homotopy,
 )
 from arccalc.intmat import SparseIntMatrix, snf
-from arccalc.perms import FormalSum, all_perms, boundary, face, hat, identity
+from arccalc.perms import FormalSum, all_perms, boundary, faces, hat, identity
 from arccalc.surfaces import realizable_perms
 
 
@@ -88,7 +88,7 @@ def tuple_face_matrix(words, index):
     return SparseIntMatrix.from_entries(
         len(index),
         len(words),
-        ((index[face(w, j)], c, (-1) ** j) for c, w in enumerate(words) for j in range(len(w))),
+        ((index[f], c, (-1) ** j) for c, w in enumerate(words) for j, f in enumerate(faces(w))),
     )
 
 
@@ -103,7 +103,7 @@ class TestFaceRanks:
             for r, w in enumerate(all_perms(d)):
                 assert _rank(w) == r
                 ranks = _face_ranks(w, r % unit, table)
-                assert ranks == [position[face(w, j)] for j in range(d)], w
+                assert ranks == [position[f] for f in faces(w)], w
 
     @pytest.mark.parametrize(
         "d, g, side",
@@ -346,12 +346,13 @@ class TestHomotopy:
 
     @staticmethod
     def _append_fixed_point(t):
-        # a broken lift: the fixed point goes last instead of first
-        return (*t, len(t))
+        # a broken lift: the fixed point goes last instead of first; the
+        # result is of its argument's kind, so a byte word gets a byte word
+        return type(t)((*t, len(t)))
 
-    def _fails_with_broken_lift(self, word):
+    def _fails_by_formal_sums(self, word, lift=None):
         # the FormalSum route, independent of the dict sum in _contracts
-        lift = self._append_fixed_point
+        lift = lift or self._append_fixed_point
         lifted_faces = FormalSum.from_terms(
             (c, lift(f)) for f, c in boundary(word).coeffs.items()
         )
@@ -361,18 +362,54 @@ class TestHomotopy:
         monkeypatch.setattr(complexes, "hat", self._append_fixed_point)
         rep = verify_homotopy(4)
         assert not rep.ok and rep.checked == 2 + 6 + 24
-        expected = [w for d in range(2, 5) for w in all_perms(d) if self._fails_with_broken_lift(w)]
+        expected = [w for d in range(2, 5) for w in all_perms(d) if self._fails_by_formal_sums(w)]
         assert expected and list(rep.failures) == expected
 
     def test_broken_lift_fails_sampled(self, monkeypatch):
         monkeypatch.setattr(complexes, "hat", self._append_fixed_point)
         rep = verify_homotopy_sampled(5, 50)
         assert not rep.ok and rep.checked == 50 and rep.failures
-        assert all(self._fails_with_broken_lift(w) for w in rep.failures)
+        assert all(self._fails_by_formal_sums(w) for w in rep.failures)
 
     def test_report_json(self):
         rep = verify_homotopy(3)
         assert rep.to_json() == {"checked": 8, "failures": [], "ok": True}
+
+    def test_byte_check_agrees_with_formal_sums(self):
+        # every word to degree 6, under the true lift and the broken one, so
+        # both verdicts occur
+        verdicts = set()
+        for lift in (hat, self._append_fixed_point):
+            for d in range(2, 7):
+                for w in all_perms(d):
+                    verdict = complexes._contracts(bytes(w), lift)
+                    assert verdict is not self._fails_by_formal_sums(w, lift), (w, lift)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+class TestQuotientLiftCap:
+    class Reached(Exception):
+        pass
+
+    def test_top_degree_over_the_cap_raises_before_enumerating(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a word was enumerated")
+
+        monkeypatch.setattr(complexes, "realizable_perms", never)
+        for g, side in ((100, 2), (8, 2), (9, 1)):
+            with pytest.raises(ValueError):
+                verify_quotient_homotopy(g, side)
+
+    @pytest.mark.parametrize("g, side", [(7, 2), (8, 1)])
+    def test_top_degree_at_the_cap_is_checked(self, monkeypatch, g, side):
+        # the cap lets the top degree 8 through: the first lift is reached
+        def reached(*args):
+            raise self.Reached
+
+        monkeypatch.setattr(complexes, "quotient_contraction", reached)
+        with pytest.raises(self.Reached):
+            verify_quotient_homotopy(g, side)
 
 
 class TestInvariantsSurviveOptimize:

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +12,7 @@ from arccalc.perms import (
     compose,
     cycle_count,
     face,
+    faces,
     hat,
     homotopy_d_on_sum,
     identity,
@@ -159,6 +163,71 @@ class TestFaces:
             face((0, 1), 2)
         with pytest.raises(ValueError):
             face((0,), 0)
+
+
+def reference_face(a, j):
+    """Delete the entry at position j, then lower each value above it by 1."""
+    v = a[j]
+    return tuple(x - (x > v) for i, x in enumerate(a) if i != j)
+
+
+class TestByteWords:
+    KINDS = (tuple, list, bytes)
+
+    def test_faces_face_and_hat_match_the_reference(self):
+        # every word of S_2..S_7, as a tuple, a list and bytes; bytes in
+        # gives bytes out, anything else a tuple.  face(a, j) is faces(a)[j],
+        # so it is checked at one index per word, the index cycling with rank
+        for k in range(2, 8):
+            for r, w in enumerate(all_perms(k)):
+                expected = [reference_face(w, j) for j in range(k)]
+                for kind in self.KINDS:
+                    out = bytes if kind is bytes else tuple
+                    a = kind(w)
+                    got = faces(a)
+                    assert got == [out(f) for f in expected], (w, kind)
+                    assert all(type(f) is out for f in got)
+                    assert face(a, r % k) == out(expected[r % k])
+                    assert type(face(a, r % k)) is out
+                    assert hat(a) == out((0, *(x + 1 for x in w)))
+                    assert type(hat(a)) is out
+
+    def test_other_sequences_give_tuples(self):
+        for a in (bytearray((1, 0, 2)), range(3), memoryview(bytes((1, 0, 2)))):
+            assert type(hat(a)) is tuple
+            assert all(type(f) is tuple for f in faces(a))
+
+    def test_degree_and_entry_limits(self):
+        big = bytes(range(256))
+        assert faces(big)[255] == bytes(range(255))
+        with pytest.raises(ValueError):
+            faces(big + b"\0")  # degree 257
+        for word in (big, bytes(256)):  # degree 256, with and without 255
+            with pytest.raises(ValueError):
+                hat(word)
+        with pytest.raises(ValueError):
+            hat(tuple(range(256)))
+        assert hat(bytes(range(255)))[-1] == 255
+        for bad in ((0, 256), (256, 0, 1)):
+            with pytest.raises(ValueError):
+                faces(bad)
+            with pytest.raises(ValueError):
+                hat(bad)
+        with pytest.raises(ValueError):
+            hat(bytes((255, 0)))  # 255 has no successor byte
+
+    def test_degree_limits_raise_under_python_O(self):
+        code = (
+            "from arccalc.perms import faces, hat\n"
+            "for f, a in ((hat, bytes(range(256))), (faces, bytes(257)), (hat, (256,))):\n"
+            "    try:\n"
+            "        f(a)\n"
+            "    except ValueError:\n"
+            "        print('raised')\n"
+        )
+        res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["raised"] * 3
 
 
 class TestBoundary:

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from arccalc.perms import all_perms, compose, cycle_count, face, hat, identity, inverse, rotation
+from arccalc.perms import all_perms, compose, cycle_count, faces, hat, identity, inverse, rotation
 from arccalc.surfaces import (
     _neighborhood_boundary,
     ArcClass,
@@ -110,8 +110,8 @@ class TestSimplexGenus:
             for w in all_perms(p):
                 for side in (1, 2):
                     s = simplex_genus(ArcClass(w, side))
-                    for j in range(p):
-                        sf = simplex_genus(ArcClass(face(w, j), side))
+                    for f in faces(w):
+                        sf = simplex_genus(ArcClass(f, side))
                         assert sf in (s - 1, s)
 
 
@@ -152,9 +152,7 @@ class TestRealizability:
             for side in (1, 2):
                 for p in range(2, 8):
                     for w in realizable_perms(p, side, g):
-                        assert all(
-                            realizable(ArcClass(face(w, j), side), g) for j in range(p)
-                        )
+                        assert all(realizable(ArcClass(f, side), g) for f in faces(w))
 
 
 class TestGenusCounts:
