@@ -10,30 +10,24 @@ only words realizable by arc systems on a genus-``g`` surface, and stays
 exact in a range that grows with ``g``.  Homology is computed from Smith
 normal forms, so Betti numbers and torsion are exact.
 
-Boundary matrices are built from lexicographic ranks, not from face tuples.
-The word of rank ``r`` in S_k starts with ``v = r // (k-1)!`` and its face 0
-(the pattern of its tail) has rank ``t = r mod (k-1)!``.  Deleting entry
-``j >= 1`` leaves a word that starts with ``v - [w[j] < v]`` and whose tail
-is face ``j-1`` of that pattern, so its rank is
-``(v - [w[j] < v]) * (k-2)! + F[t][j-1]`` with ``F`` the face-rank table of
-S_{k-1}.  Each :func:`face_matrix` call builds the tables it needs by the
-same recursion, for the symmetric groups below the degree of its columns
-only.  The contraction checks take another route, independent of these
-tables: they run on byte-string words (byte ``i`` is ``w(i)``), whose faces
-come from :func:`~arccalc.perms.faces` and whose lift prepends a fixed point
-with :func:`~arccalc.perms.hat`.
+Boundary matrices and the contraction checks take their faces from one
+routine, :func:`~arccalc.perms.faces`, on byte-string words (byte ``i`` is
+``w(i)``); the contraction's lift prepends a fixed point with
+:func:`~arccalc.perms.hat`.  That routine is checked on its own: against a
+delete-and-renumber referee on S_2..S_7 in the tests, and through the
+contraction identity, which holds only if the faces are right, up to degree
+8.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .intmat import SparseIntMatrix, snf
-from .perms import Perm, all_perms, face, faces, hat, identity
-from .surfaces import ArcClass, realizable, realizable_perms
+from .perms import Perm, all_perms, faces, hat, identity
+from .surfaces import _realizable, boundary_count, realizable_perms
 
 DEFAULT_DEGREE_CAP = 7
 MAX_DEGREE_CAP = 8  # factorial growth; degree 9 is out of the supported range
@@ -44,99 +38,46 @@ def _check_cap(max_degree: int, low: int = 1) -> None:
         raise ValueError(f"max_degree must be in [{low}, {MAX_DEGREE_CAP}], got {max_degree}")
 
 
-def _rank(word: Sequence[int]) -> int:
-    """
-    Lexicographic rank of a permutation word among the words of its degree:
-    its Lehmer code read as a factorial-base number.
-
-    >>> [_rank(w) for w in all_perms(3)]
-    [0, 1, 2, 3, 4, 5]
-    """
-    k = len(word)
-    r = seen = 0
-    for x in word:
-        # x minus the smaller letters already seen: the smaller letters after x
-        r = r * k + x - (seen & ((1 << x) - 1)).bit_count()
-        seen |= 1 << x
-        k -= 1
-    if seen != (1 << len(word)) - 1:
-        raise ValueError(f"not a permutation word: {word!r}")
-    return r
+# the sign of face j, for each of the at most 256 faces of a byte word
+_SIGNS = (1, -1) * 128
 
 
-def _face_ranks(word: Perm, t: int, table: Sequence[Sequence[int]]) -> list[int]:
-    """
-    Ranks of faces ``0 .. k-1`` of the degree-``k`` ``word``, given the rank
-    ``t`` of its face 0 and the face-rank table of S_{k-1}.
-    """
-    v = word[0]
-    unit = factorial(len(word) - 2)
-    return [t] + [(v - (x < v)) * unit + f for x, f in zip(word[1:], table[t])]
-
-
-def _face_rank_table(k: int) -> list[list[int]]:
-    """
-    Row ``r``: the ranks of the faces of the word of rank ``r`` in S_k.
-    Not cached: S_1..S_7 take about 20 ms, and no table outlives its
-    :func:`face_matrix` call.
-    """
-    if k == 1:
-        return [[0]]  # face 0 of (0,) is the empty word, rank 0
-    table = _face_rank_table(k - 1)
-    unit = factorial(k - 1)
-    # one int object per rank, shared by every row, halves the table's memory
-    ranks = list(range(unit))
-    return [
-        list(map(ranks.__getitem__, _face_ranks(w, r % unit, table)))
-        for r, w in enumerate(all_perms(k))
-    ]
-
-
-def face_matrix(words: Sequence[Perm], index: Mapping[Perm, int]) -> SparseIntMatrix:
+def face_matrix(words: Sequence[Perm], targets: Sequence[Perm]) -> SparseIntMatrix:
     """
     Signed face matrix: column ``c`` is the alternating face sum of
-    ``words[c]``, each face in row ``index[face]``.  A face missing from
-    ``index``, or a row number outside ``range(len(index))``, raises
+    ``words[c]``, and the row of a face is its position in ``targets``.
+    A column or target that is not a permutation word of the right degree,
+    a repeated target, or a face missing from ``targets`` raises
     ``ValueError``.
 
-    Faces are found by rank, not as tuples.  If ``w`` has rank ``r`` in S_k
-    and ``t = r mod (k-1)!``, face 0 of ``w`` has rank ``t`` in S_{k-1}, and
-    face ``j >= 1`` has rank ``(w[0] - [w[j] < w[0]]) * (k-2)! + F[t][j-1]``,
-    where ``F`` is the face-rank table of S_{k-1}.  Rows are looked up in one
-    list indexed by rank.
-
-    >>> face_matrix([(0, 2, 1)], {(0, 1): 0, (1, 0): 1}).to_dense()
+    >>> face_matrix([(0, 2, 1)], [(0, 1), (1, 0)]).to_dense()
     [[0], [1]]
     """
-    m = SparseIntMatrix(len(index), len(words))
+    m = SparseIntMatrix(len(targets), len(words))
     if not words:
         return m
     k = len(words[0])
     if k < 2:
         raise ValueError("no faces below degree 2")
-    unit = factorial(k - 1)
-    rows = [-1] * unit
-    for f, i in index.items():
-        if len(f) != k - 1:
-            raise ValueError(f"index word {f} is not of degree {k - 1}")
-        # each row number is checked here, once, so the entries below go
-        # straight into the row dicts
-        if not 0 <= i < m.nrows:
-            raise ValueError(f"row {i} of index word {f} is outside {m.nrows} rows")
-        rows[_rank(f)] = i
+    letters = set(range(k - 1))
+    rows: dict[bytes, int] = {}
+    for i, f in enumerate(targets):
+        if len(f) != k - 1 or set(f) != letters:
+            raise ValueError(f"target {f} is not a permutation word of degree {k - 1}")
+        if rows.setdefault(bytes(f), i) != i:
+            raise ValueError(f"target {f} is repeated")
+    letters.add(k - 1)
     out = m._rows
-    table = _face_rank_table(k - 1)
-    signs = [(-1) ** j for j in range(k)]
     for c, word in enumerate(words):
-        if len(word) != k:
-            raise ValueError(f"{word} is not of degree {k}")
+        if len(word) != k or set(word) != letters:
+            raise ValueError(f"{word} is not a permutation word of degree {k}")
         # sum the column before storing it, so that a cancelling face pair
         # never occupies a slot in a row dict
         col: dict[int, int] = {}
-        for j, (r, sign) in enumerate(zip(_face_ranks(word, _rank(word) % unit, table), signs)):
-            i = rows[r]
-            if i < 0:
-                raise ValueError(f"face {face(word, j)} of {word} is outside the target basis")
+        for f, sign in zip(faces(bytes(word)), _SIGNS):
+            i = rows.get(f)
+            if i is None:
+                raise ValueError(f"face {tuple(f)} of {word} is outside the target basis")
             col[i] = col.get(i, 0) + sign
         for i, v in col.items():
             if v:
@@ -162,7 +103,7 @@ class ChainComplex:
         if set(self._bases) != set(range(self.min_degree, self.max_degree + 1)):
             raise ValueError("degrees must be contiguous")
         self._matrices = {
-            d: face_matrix(self._bases[d], {p: i for i, p in enumerate(self._bases[d - 1])})
+            d: face_matrix(self._bases[d], self._bases[d - 1])
             for d in range(self.min_degree + 1, self.max_degree + 1)
         }
 
@@ -293,10 +234,6 @@ class HomotopyReport:
         }
 
 
-# the sign of face j, for each of the at most 256 faces of a byte word
-_SIGNS = (1, -1) * 128
-
-
 def _contracts(word: bytes, lift: Callable[[bytes], bytes | None]) -> bool:
     """
     Whether boundary-of-lift plus lift-of-boundary sends the byte word
@@ -365,10 +302,14 @@ def quotient_contraction(g: int, side: int, word: Perm) -> Perm | None:
     degree-parity dependent: zero when ``T`` is odd (the identity's boundary
     already vanishes one degree down), and the word ``(2,0,1,3,4,...,T)``
     when ``T`` is even (its boundary equals the identity's).
+
+    ``word`` must be a permutation word; it is not checked again.  The lift's
+    realizability is read from its boundary count, computed uncached, so the
+    check fills no process-wide cache.
     """
     top = g + side - 1
     lifted = hat(word)
-    if realizable(ArcClass(lifted, side), g):
+    if _realizable(lifted, side, g, boundary_count(lifted, side)):
         return lifted
     if word != identity(top):
         raise ValueError(f"unexpected escape at degree {len(word)}: {word}")

@@ -8,7 +8,11 @@ only; no homology groups are computed here.  The first differential, with
 trivial coefficients, is the signed face-merge matrix; it is built by the
 same face-matrix builder as the boundary matrices of the realizability
 quotient complex, and is checked column by column against the twist
-cancellation rule of :func:`cancellation_report`.
+cancellation rule of :func:`cancellation_report`.  Both sides take their
+faces from :func:`~arccalc.perms.faces`, so what the check tests on its own
+is the cancellation rule.  The faces have checks of their own: a
+delete-and-renumber referee in the tests, and the contraction identity of
+:mod:`arccalc.complexes`.
 """
 
 from __future__ import annotations
@@ -113,10 +117,7 @@ def d1_matrix(page: E1Page, p: int) -> SparseIntMatrix:
     """
     if p < 2:
         raise ValueError("the first differential needs p >= 2")
-    return face_matrix(
-        [s.perm for s in page.column(p)],
-        {s.perm: i for i, s in enumerate(page.column(p - 1))},
-    )
+    return face_matrix([s.perm for s in page.column(p)], [s.perm for s in page.column(p - 1)])
 
 
 def quotient_boundary_matrix(page: E1Page, p: int) -> SparseIntMatrix:

@@ -229,7 +229,7 @@ def _positive_genus_words_realizable(p: int, side: int, g_complex: int) -> bool:
     )
 
 
-def _required_orbit_sets_present(case: str, lm: tuple[int, int], n: int, g: int) -> bool:
+def _required_orbit_sets_present(case: str, n: int, g: int) -> bool:
     side, _ = _CASES[case]
     g_complex = g if side == 2 else g + 1
     if case == "surj-s01":
@@ -260,15 +260,13 @@ def orbit_set_exceptions(case: str) -> list[ExceptionTuple]:
         raise ValueError(f"unknown case {case!r}; expected one of {EXCEPTION_CASES}")
     _, c = _CASES[case]
     found = []
-    for lm in GLUINGS:
-        eps = epsilon(*lm)
-        for n in range(1, 7):
-            for g in range(0, n + 2):
-                k = 0
-                while 2 * g >= 3 * n + k + c - eps:
-                    if not _required_orbit_sets_present(case, lm, n, g):
-                        found.append(ExceptionTuple(case, lm, n, g, k))
-                    k += 1
+    for n in range(1, 7):
+        for g in range(0, n + 2):
+            # per gluing, the k with 2g >= 3n + k + c - eps; the orbit sets
+            # do not depend on the gluing, so they are checked once
+            ks = {lm: range(2 * g - 3 * n - c + epsilon(*lm) + 1) for lm in GLUINGS}
+            if any(ks.values()) and not _required_orbit_sets_present(case, n, g):
+                found += (ExceptionTuple(case, lm, n, g, k) for lm, r in ks.items() for k in r)
     return sorted(found)
 
 

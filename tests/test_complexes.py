@@ -3,16 +3,12 @@ import random
 import subprocess
 import sys
 from functools import cache
-from math import factorial
 
 import pytest
 
 import arccalc
 from arccalc import complexes
 from arccalc.complexes import (
-    _face_rank_table,
-    _face_ranks,
-    _rank,
     exactness_report,
     face_matrix,
     homology,
@@ -24,8 +20,8 @@ from arccalc.complexes import (
     verify_quotient_homotopy,
 )
 from arccalc.intmat import SparseIntMatrix, snf
-from arccalc.perms import FormalSum, all_perms, boundary, faces, hat, identity
-from arccalc.surfaces import realizable_perms
+from arccalc.perms import FormalSum, all_perms, boundary, hat, identity
+from arccalc.surfaces import _neighborhood_boundary, realizable_perms
 
 
 class TestConstruction:
@@ -59,23 +55,29 @@ class TestConstruction:
             perm_complex(9)
 
     def test_face_outside_index_raises(self):
-        assert face_matrix([(0, 2, 1)], {(0, 1): 0, (1, 0): 1}).to_dense() == [[0], [1]]
-        with pytest.raises(ValueError):
-            face_matrix([(0, 2, 1)], {(0, 1): 0})
-
-    def test_row_numbers_outside_the_index_raise(self):
-        for bad in (2, -1):
-            with pytest.raises(ValueError):
-                face_matrix([(0, 2, 1)], {(0, 1): 0, (1, 0): bad})
+        assert face_matrix([(0, 2, 1)], [(0, 1), (1, 0)]).to_dense() == [[0], [1]]
+        with pytest.raises(ValueError, match=r"face \(1, 0\) of \(0, 2, 1\)"):
+            face_matrix([(0, 2, 1)], [(0, 1)])
 
     def test_words_of_another_degree_raise(self):
-        index = {(0, 1): 0, (1, 0): 1}
+        targets = [(0, 1), (1, 0)]
         with pytest.raises(ValueError):
-            face_matrix([(0, 2, 1), (1, 0)], index)
+            face_matrix([(0, 2, 1), (1, 0)], targets)
         with pytest.raises(ValueError):
-            face_matrix([(0, 2, 1)], {**index, (0,): 2})
+            face_matrix([(0, 2, 1)], [*targets, (0,)])
         with pytest.raises(ValueError):
-            face_matrix([(0, 2, 2)], index)
+            face_matrix([(0, 2, 2)], targets)
+
+    def test_targets_that_are_not_permutations_raise(self):
+        # every face is among the targets, so only the bad word can raise
+        for bad in ((1, 1), (0, 2), (2, 0)):
+            with pytest.raises(ValueError, match="not a permutation word"):
+                face_matrix([(0, 2, 1)], [(0, 1), (1, 0), bad])
+
+    def test_a_repeated_target_raises(self):
+        # a repeated word would leave one of its rows empty for good
+        with pytest.raises(ValueError, match="repeated"):
+            face_matrix([(0, 2, 1)], [(0, 1), (1, 0), (0, 1)])
 
     def test_basis_is_lex_sorted(self):
         c = quotient_complex(2, 2, 5)
@@ -83,44 +85,44 @@ class TestConstruction:
             assert list(c.basis(d)) == sorted(c.basis(d))
 
 
-def tuple_face_matrix(words, index):
-    """The face matrix from face tuples: the referee of the rank route."""
+def referee_face_matrix(words, targets):
+    """
+    The face matrix from faces made here, by deleting an entry of a tuple and
+    lowering each value above it by 1: a referee that shares no code with
+    :func:`arccalc.perms.faces`, which :func:`face_matrix` reads.
+    """
+    row = {w: i for i, w in enumerate(targets)}
     return SparseIntMatrix.from_entries(
-        len(index),
+        len(targets),
         len(words),
-        ((index[f], c, (-1) ** j) for c, w in enumerate(words) for j, f in enumerate(faces(w))),
+        (
+            (row[tuple(x - (x > v) for x in w[:j] + w[j + 1:])], c, (-1) ** j)
+            for c, w in enumerate(words)
+            for j, v in enumerate(w)
+        ),
     )
 
 
 class TestFaceRanks:
-    def test_ranks_match_tuple_faces_exhaustively(self):
-        # every face of every word of S_2..S_8, against the position of the
-        # tuple face in the lexicographic enumeration of S_{d-1}
-        for d in range(2, 9):
-            position = {w: r for r, w in enumerate(all_perms(d - 1))}
-            table = _face_rank_table(d - 1)
-            unit = factorial(d - 1)
-            for r, w in enumerate(all_perms(d)):
-                assert _rank(w) == r
-                ranks = _face_ranks(w, r % unit, table)
-                assert ranks == [position[f] for f in faces(w)], w
+    """A face's row is its rank, that is its position, in the target basis."""
 
     @pytest.mark.parametrize(
         "d, g, side",
-        [(5, None, None), (7, None, None), (7, 3, 1), (8, 4, 2)],
-        ids=["S5", "S7", "g3-side1-d7", "g4-side2-d8"],
+        [*((d, None, None) for d in range(2, 9)), (7, 3, 1), (8, 4, 2)],
+        ids=[*(f"S{d}" for d in range(2, 9)), "g3-side1-d7", "g4-side2-d8"],
     )
     def test_any_column_order_and_any_index(self, d, g, side):
-        # a column's rank comes from its word, never from its position
+        # every word of S_2..S_8 and of two quotients, the columns reversed
+        # and the targets shuffled: a column's faces come from its word,
+        # never from its position
         if g is None:
             words, targets = list(all_perms(d)), list(all_perms(d - 1))
         else:
             words, targets = list(realizable_perms(d, side, g)), list(realizable_perms(d - 1, side, g))
         words.reverse()
         random.Random(d).shuffle(targets)
-        index = {w: i for i, w in enumerate(targets)}
-        got = face_matrix(words, index)
-        assert sorted(got.entries()) == sorted(tuple_face_matrix(words, index).entries())
+        got = face_matrix(words, targets)
+        assert sorted(got.entries()) == sorted(referee_face_matrix(words, targets).entries())
 
 
 class TestHomology:
@@ -296,6 +298,12 @@ class TestHomotopy:
             for side in (1, 2):
                 rep = verify_quotient_homotopy(g, side)
                 assert rep.ok, (g, side, rep.failures[:3])
+
+    def test_quotient_lift_fills_no_cache(self):
+        # realizability of each lift is read from an uncached boundary count
+        before = _neighborhood_boundary.cache_info().currsize
+        assert verify_quotient_homotopy(4, 2).ok
+        assert _neighborhood_boundary.cache_info().currsize == before
 
     def test_quotient_lift_counts_guaranteed_range(self):
         g, side = 3, 2
