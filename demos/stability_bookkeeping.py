@@ -17,11 +17,13 @@ from arccalc import (
     orbit_set_exceptions,
     twisted_range,
 )
+from arccalc.cli import main
 
 print("=== a first page ===")
+# the table that `arccalc e1` prints: one row per summand, then the
+# vanishing bound p + q <= 2g - 2 + side
+main(["e1", "--ambient", "3,2", "--side", "1", "--max-p", "4", "--format", "table"])
 page = e1_skeleton(SurfaceType(3, 2), 1, 4)
-print(page.to_table())
-print(f"(entries vanish for p + q <= {page.vanishing_bound})")
 
 print()
 print("=== first-differential columns and their cancellations ===")

@@ -226,13 +226,6 @@ class HomotopyReport:
         # a check that checked nothing has not passed
         return self.checked > 0 and not self.failures
 
-    def to_json(self) -> dict:
-        return {
-            "checked": self.checked,
-            "failures": [list(p) for p in self.failures],
-            "ok": self.ok,
-        }
-
 
 def _contracts(word: bytes, lift: Callable[[bytes], bytes | None]) -> bool:
     """
@@ -303,13 +296,16 @@ def quotient_contraction(g: int, side: int, word: Perm) -> Perm | None:
     already vanishes one degree down), and the word ``(2,0,1,3,4,...,T)``
     when ``T`` is even (its boundary equals the identity's).
 
-    ``word`` must be a permutation word; it is not checked again.  The lift's
+    ``word`` must be a permutation word; it is not checked again.  Below the
+    top degree the lift has degree at most ``T``, where every word is
+    realizable (the shortcut of :func:`~arccalc.surfaces.realizable_perms`),
+    so it is returned uncounted.  From the top degree on, the lift's
     realizability is read from its boundary count, computed uncached, so the
     check fills no process-wide cache.
     """
     top = g + side - 1
     lifted = hat(word)
-    if _realizable(lifted, side, g, boundary_count(lifted, side)):
+    if len(word) < top or _realizable(lifted, side, g, boundary_count(lifted, side)):
         return lifted
     if word != identity(top):
         raise ValueError(f"unexpected escape at degree {len(word)}: {word}")

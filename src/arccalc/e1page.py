@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import face_matrix, quotient_complex
+from .complexes import MAX_DEGREE_CAP, face_matrix, quotient_complex
 from .intmat import SparseIntMatrix
 from .perms import Perm, faces
 from .surfaces import SurfaceType, _cut_surface, _genus, boundary_count, realizable_perms
@@ -30,13 +30,6 @@ class Summand:
     perm: Perm
     genus: int
     stabilizer: SurfaceType
-
-    def to_json(self) -> dict:
-        return {
-            "perm": list(self.perm),
-            "genus": self.genus,
-            "stabilizer": self.stabilizer.to_json(),
-        }
 
 
 @dataclass(frozen=True)
@@ -54,28 +47,6 @@ class E1Page:
         if not 1 <= p <= self.max_p:
             raise ValueError(f"column {p} not on the page (1..{self.max_p})")
         return self.columns[p - 1]
-
-    def to_json(self) -> dict:
-        return {
-            "ambient": self.ambient.to_json(),
-            "side": self.side,
-            "vanishing_bound": self.vanishing_bound,
-            "columns": {
-                str(p): [s.to_json() for s in self.column(p)]
-                for p in range(1, self.max_p + 1)
-            },
-        }
-
-    def to_table(self) -> str:
-        lines = [
-            f"ambient {self.ambient}  side {self.side}  vanishing p+q <= {self.vanishing_bound}"
-        ]
-        for p in range(1, self.max_p + 1):
-            cells = [
-                f"{','.join(map(str, s.perm))} -> {s.stabilizer}" for s in self.column(p)
-            ]
-            lines.append(f"p={p:<2d} | " + "   ".join(cells))
-        return "\n".join(lines)
 
 
 def e1_skeleton(ambient: SurfaceType, side: int, max_p: int) -> E1Page:
@@ -97,8 +68,8 @@ def e1_skeleton(ambient: SurfaceType, side: int, max_p: int) -> E1Page:
         raise ValueError(f"{ambient} has too few boundary circles for side {side}")
     if ambient.g < 2:
         raise ValueError("page generation needs ambient genus >= 2")
-    if max_p < 1:
-        raise ValueError("max_p must be >= 1")
+    if not 1 <= max_p <= MAX_DEGREE_CAP:
+        raise ValueError(f"max_p must be in [1, {MAX_DEGREE_CAP}]")
     columns = []
     for p in range(1, max_p + 1):
         col = []

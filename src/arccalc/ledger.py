@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .perms import all_perms, identity
-from .surfaces import ArcClass, realizable, simplex_genus
+from .surfaces import _genus, _realizable, boundary_count
 
 GLUINGS = ((1, 0), (0, 1), (1, -1))
 
@@ -78,14 +78,6 @@ class Obligation:
     params: dict = field(compare=False)
     inequality: str
     holds: bool
-
-    def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": dict(sorted(self.params.items())),
-            "inequality": self.inequality,
-            "holds": self.holds,
-        }
 
 
 def _obligation(claim: str, params: dict, lhs: int, rhs: int) -> Obligation:
@@ -218,15 +210,18 @@ EXPECTED_EXCEPTIONS: dict[str, frozenset[tuple[tuple[int, int], int, int, int]]]
 def _full_orbit_set(p: int, side: int, g_complex: int) -> bool:
     # the identity word minimizes the thickening genus (value 0), so the
     # orbit set is full exactly when the identity is realizable
-    return realizable(ArcClass(identity(p), side), g_complex)
+    w = identity(p)
+    return _realizable(w, side, g_complex, boundary_count(w, side))
 
 
 def _positive_genus_words_realizable(p: int, side: int, g_complex: int) -> bool:
-    return all(
-        realizable(a, g_complex)
-        for w in all_perms(p)
-        if simplex_genus(a := ArcClass(w, side)) >= 1
-    )
+    # the words are permutations already: no ArcClass to check them, and each
+    # count is read once, uncached, for both the genus and the criterion
+    for w in all_perms(p):
+        nb = boundary_count(w, side)
+        if _genus(w, side, nb) >= 1 and not _realizable(w, side, g_complex, nb):
+            return False
+    return True
 
 
 def _required_orbit_sets_present(case: str, n: int, g: int) -> bool:

@@ -36,9 +36,6 @@ class SurfaceType:
     def euler_char(self) -> int:
         return 2 - 2 * self.g - self.r
 
-    def to_json(self) -> dict:
-        return {"g": self.g, "r": self.r}
-
     def __str__(self) -> str:
         return f"F({self.g},{self.r})"
 

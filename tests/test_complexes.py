@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from functools import cache
+from math import factorial
 
 import pytest
 
@@ -21,7 +22,7 @@ from arccalc.complexes import (
 )
 from arccalc.intmat import SparseIntMatrix, snf
 from arccalc.perms import FormalSum, all_perms, boundary, hat, identity
-from arccalc.surfaces import _neighborhood_boundary, realizable_perms
+from arccalc.surfaces import _neighborhood_boundary, boundary_count, realizable_perms
 
 
 class TestConstruction:
@@ -305,6 +306,24 @@ class TestHomotopy:
         assert verify_quotient_homotopy(4, 2).ok
         assert _neighborhood_boundary.cache_info().currsize == before
 
+    def test_quotient_lift_counts_only_at_the_top_degree(self, monkeypatch):
+        # below the top degree T = g + side - 1 every lift is realizable, so
+        # only the lifts of the T! words of degree T are counted
+        counted = []
+
+        def recording(perm, side):
+            counted.append(len(perm))
+            return boundary_count(perm, side)
+
+        monkeypatch.setattr(complexes, "boundary_count", recording)
+        for g in range(2, 6):
+            for side in (1, 2):
+                counted.clear()
+                top = g + side - 1
+                assert verify_quotient_homotopy(g, side).ok
+                assert set(counted) == {top + 1}, (g, side)
+                assert len(counted) == factorial(top), (g, side)
+
     def test_quotient_lift_counts_guaranteed_range(self):
         g, side = 3, 2
         rep = verify_quotient_homotopy(g, side)
@@ -381,7 +400,7 @@ class TestHomotopy:
 
     def test_report_json(self):
         rep = verify_homotopy(3)
-        assert rep.to_json() == {"checked": 8, "failures": [], "ok": True}
+        assert (rep.checked, rep.failures, rep.ok) == (8, (), True)
 
     def test_byte_check_agrees_with_formal_sums(self):
         # every word to degree 6, under the true lift and the broken one, so

@@ -1,7 +1,6 @@
-import json
-
 import pytest
 
+from arccalc import e1page
 from arccalc.e1page import (
     cancellation_report,
     d1_follows_cancellation,
@@ -73,14 +72,14 @@ class TestSkeleton:
         with pytest.raises(ValueError):
             e1_skeleton(SurfaceType(3, 1), 1, 0)
 
-    def test_emitters(self):
-        page = e1_skeleton(SurfaceType(2, 2), 2, 3)
-        data = page.to_json()
-        json.dumps(data)
-        assert data["vanishing_bound"] == 4
-        table = page.to_table()
-        assert table.splitlines()[0].startswith("ambient F(2,2)")
-        assert len(table.splitlines()) == 4
+    def test_max_p_over_the_cap_raises_before_enumerating(self, monkeypatch):
+        # a column over the cap would filter all of S_9 or more
+        def unreachable(*args):
+            pytest.fail("realizable_perms called for a max_p over the cap")
+
+        monkeypatch.setattr(e1page, "realizable_perms", unreachable)
+        with pytest.raises(ValueError, match="max_p"):
+            e1_skeleton(SurfaceType(4, 2), 2, 9)
 
 
 class TestD1:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -14,6 +15,7 @@ from arccalc.ledger import (
     orbit_set_exceptions,
     twisted_range,
 )
+from arccalc.surfaces import _neighborhood_boundary
 
 
 class TestEpsilon:
@@ -78,7 +80,7 @@ class TestMainTheoremLedger:
     def test_default_grid_is_pinned(self):
         # the obligations, their order and their serialization, as first recorded
         obligations = main_theorem_ledger(50, 20)
-        text = json.dumps([o.to_json() for o in obligations], sort_keys=True)
+        text = json.dumps([dataclasses.asdict(o) for o in obligations], sort_keys=True)
         assert len(obligations) == 45185
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "8e14eb4fcd95cbeccc8973faaac3184ba6dcfcf7efdec3d2039bb16e59167884"
@@ -94,12 +96,6 @@ class TestMainTheoremLedger:
         claims = {o.claim for o in obligations}
         assert "row-iso-leg" in claims and "row-surj-leg" in claims
         assert "split-exact-range" in claims
-
-    def test_serialization(self):
-        obligations = main_theorem_ledger(5, 2)
-        o = obligations[0]
-        data = o.to_json()
-        assert set(data) == {"claim", "params", "inequality", "holds"}
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
@@ -130,6 +126,13 @@ class TestExceptionLists:
         assert len(EXPECTED_EXCEPTIONS["surj-s01"]) == 8
         assert len(EXPECTED_EXCEPTIONS["surj-s11"]) == 5
         assert len(EXPECTED_EXCEPTIONS["inj-s11"]) == 1
+
+    def test_brute_force_fills_no_cache(self):
+        # each word's boundary count is read once, uncached
+        _neighborhood_boundary.cache_clear()
+        for case in EXCEPTION_CASES:
+            orbit_set_exceptions(case)
+        assert _neighborhood_boundary.cache_info().currsize == 0
 
     def test_unknown_case(self):
         with pytest.raises(ValueError):

@@ -41,7 +41,6 @@ class TestTypes:
             ArcClass((0, 1), 3)
 
     def test_json(self):
-        assert SurfaceType(3, 2).to_json() == {"g": 3, "r": 2}
         assert ArcClass((1, 0), 2).to_json() == {"perm": [1, 0], "side": 2}
 
 
