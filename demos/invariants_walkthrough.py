@@ -24,7 +24,7 @@ print("=== invariants of small arc systems ===")
 for word, side in [((0,), 1), ((1, 0), 1), ((1, 2, 0), 1), ((1, 2, 0), 2), ((0, 2, 1), 2)]:
     a = ArcClass(word, side)
     nb = boundary_of_neighborhood(a)
-    trace = oracle_boundary_count(a)
+    trace = oracle_boundary_count(a.perm, a.side)
     print(
         f"word {word} side {side}: thickening has {nb} boundary circles "
         f"(trace agrees: {trace == nb}), genus {simplex_genus(a)}"

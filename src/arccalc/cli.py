@@ -16,9 +16,11 @@ import os
 import sys
 from itertools import islice
 from multiprocessing import get_context
+from types import SimpleNamespace
 from typing import Iterator
 
 from . import complexes, e1page, ledger
+from .perms import all_perms
 from .ribbon import oracle_boundary_count
 from .surfaces import (
     ArcClass,
@@ -123,15 +125,6 @@ def describe() -> dict:
     }
 
 
-def _parse_perm(text: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
-    try:
-        from .perms import as_perm
-
-        return as_perm(tuple(int(x) for x in text.split(",")))
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def _parse_surface(text: str, parser: argparse.ArgumentParser) -> SurfaceType:
     try:
         g, r = (int(x) for x in text.split(","))
@@ -149,15 +142,13 @@ def _check_degree_cap(value: int, parser: argparse.ArgumentParser, low: int = 1)
 def _oracle_block(task: tuple[int, int]) -> tuple[int, list[dict]]:
     """The number of words of one degree and side checked, and the mismatches."""
     degree, side = task
-    from .perms import all_perms
-
     checked = 0
     rows = []
     for w in all_perms(degree):
         checked += 1
         # each word is counted once: the uncached count fills no cache
         formula = boundary_count(w, side)
-        trace = oracle_boundary_count(ArcClass(w, side))
+        trace = oracle_boundary_count(w, side)
         if formula != trace:
             rows.append(
                 {
@@ -182,12 +173,14 @@ def _pmap(fn, tasks: list, threads: int) -> list:
 
 
 def run_invariants(args, parser) -> tuple[dict, tuple[str, ...], bool]:
-    perm = _parse_perm(args.perm, parser)
-    a = ArcClass(perm, args.side)
+    try:
+        a = ArcClass(tuple(int(x) for x in args.perm.split(",")), args.side)
+    except ValueError as exc:
+        parser.error(str(exc))
     formula = boundary_of_neighborhood(a)
-    trace = oracle_boundary_count(a)
+    trace = oracle_boundary_count(a.perm, a.side)
     row = {
-        "perm": ",".join(map(str, perm)),
+        "perm": ",".join(map(str, a.perm)),
         "side": args.side,
         "neighborhood_boundary": formula,
         "trace_count": trace,
@@ -341,9 +334,15 @@ def _render(report: dict, columns: tuple[str, ...], fmt: str) -> Iterator[str]:
         return
     rows = report["rows"]
     if fmt == "csv":
-        yield ",".join(columns) + "\n"
+        # imported here: at module level it adds to the peak RSS of every
+        # command, and most reports are JSON
+        import csv
+
+        # writerow returns what its file's write returns: here, the line
+        line = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+        yield line.writerow(columns)
         for r in rows:
-            yield ",".join(str(r.get(c, "")) for c in columns) + "\n"
+            yield line.writerow([r.get(c, "") for c in columns])
         return
     widths = [max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c) for c in columns]
     yield "  ".join(c.ljust(w) for c, w in zip(columns, widths)) + "\n"

@@ -215,8 +215,7 @@ def _full_orbit_set(p: int, side: int, g_complex: int) -> bool:
 
 
 def _positive_genus_words_realizable(p: int, side: int, g_complex: int) -> bool:
-    # the words are permutations already: no ArcClass to check them, and each
-    # count is read once, uncached, for both the genus and the criterion
+    # each count is read once, uncached, for both the genus and the criterion
     for w in all_perms(p):
         nb = boundary_count(w, side)
         if _genus(w, side, nb) >= 1 and not _realizable(w, side, g_complex, nb):

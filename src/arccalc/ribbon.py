@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perms import inverse
+from .perms import Perm, inverse
 from .surfaces import ArcClass
 
 Dart = int  # 2*edge + end
@@ -31,7 +31,6 @@ class RibbonGraph:
     """Two-vertex rotation system; ``rotations[v]`` lists darts at vertex ``v`` in cyclic order."""
 
     arc_count: int
-    side: int
     rotations: tuple[tuple[Dart, ...], tuple[Dart, ...]]
 
     def __post_init__(self) -> None:
@@ -57,27 +56,28 @@ def involution(d: Dart) -> Dart:
     return d ^ 1
 
 
-def build_ribbon(a: ArcClass) -> RibbonGraph:
+def build_ribbon(perm: Perm, side: int) -> RibbonGraph:
     """
-    Rotation system of the thickened arc system of ``a``.
+    Rotation system of the thickened arc system of ``perm`` on ``side``.
+    The arguments are not checked: an :class:`ArcClass` checks them.
 
     At vertex 0 the arcs appear in arrival order, flanked by the boundary
     darts; at vertex 1 they appear in reversed order of their positions at
     the far end (the two vertices face each other, so the induced rotations
     run opposite ways), again flanked by boundary darts.
     """
-    p = a.arc_count
-    inv = inverse(a.perm)
+    p = len(perm)
+    inv = inverse(perm)
     at_v0 = range(0, 2 * p, 2)
     at_v1 = [2 * inv[j] + 1 for j in range(p - 1, -1, -1)]
     b, c = 2 * p, 2 * p + 2  # first darts of the boundary edges p, p + 1
-    if a.side == 2:
+    if side == 2:
         rot0 = (b, *at_v0, b + 1)
         rot1 = (c, *at_v1, c + 1)
     else:
         rot0 = (b, *at_v0, c)
         rot1 = (c + 1, *at_v1, b + 1)
-    return RibbonGraph(p, a.side, (rot0, rot1))
+    return RibbonGraph(p, (rot0, rot1))
 
 
 def trace_faces(graph: RibbonGraph) -> tuple[tuple[Dart, ...], ...]:
@@ -106,21 +106,23 @@ def trace_faces(graph: RibbonGraph) -> tuple[tuple[Dart, ...], ...]:
     return tuple(faces)
 
 
-def oracle_boundary_count(a: ArcClass) -> int:
+def oracle_boundary_count(perm: Perm, side: int) -> int:
     """
-    Boundary circles of the thickening, by face tracing.
+    Boundary circles of the thickening of ``perm`` on ``side``, by face
+    tracing.  Unchecked, as :func:`~arccalc.surfaces.boundary_count` is: an
+    :class:`ArcClass` checks the arguments.
 
-    >>> oracle_boundary_count(ArcClass((1, 2, 0), 1))
+    >>> oracle_boundary_count((1, 2, 0), 1)
     3
-    >>> oracle_boundary_count(ArcClass((1, 2, 0), 2))
+    >>> oracle_boundary_count((1, 2, 0), 2)
     5
     """
-    return len(trace_faces(build_ribbon(a)))
+    return len(trace_faces(build_ribbon(perm, side)))
 
 
 def debug_dump(a: ArcClass) -> dict:
     """Rotation system and traced faces in JSON form, for failure triage."""
-    graph = build_ribbon(a)
+    graph = build_ribbon(a.perm, a.side)
     return {
         "arc_class": a.to_json(),
         "rotations": [[list(divmod(d, 2)) for d in rot] for rot in graph.rotations],

@@ -9,6 +9,10 @@ permutation matching the arc order at the two endpoints, together with
 sit on two distinct circles.  Everything about the thickened arc system and
 the complementary cut surface (boundary count, genus, realizability on a
 given genus) is a function of that pair alone.
+
+An :class:`ArcClass` checks a pair that comes from outside; the word-level
+functions take ``(perm, side)`` unchecked, for words already known to be
+permutations, such as those of :func:`~arccalc.perms.all_perms`.
 """
 
 from __future__ import annotations
@@ -160,8 +164,7 @@ def realizable_perms(p: int, side: int, g: int) -> tuple[Perm, ...]:
         raise ValueError("side must be 1 or 2")
     if p <= g - 1 + side:
         return tuple(all_perms(p))
-    # the words of all_perms are permutations already: no ArcClass to check
-    # them; the filter reads each count once, so it skips the cache
+    # the filter reads each count once, so it skips the cache
     return tuple(w for w in all_perms(p) if _realizable(w, side, g, boundary_count(w, side)))
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ import time
 
 import pytest
 
-CLI = [sys.executable, "-m", "arccalc.cli"]
+# under python -O the CLI runs under -O too
+CLI = [sys.executable, *["-O"] * sys.flags.optimize, "-m", "arccalc.cli"]
 
 
 def run(*args, env=None):
@@ -174,6 +176,10 @@ class TestSuites:
         assert data["rows"] == [{"degree": 3, "side": 2, "perm": "1,2,0", "formula": 6, "trace": 5}]
         assert data["checked"] == 2 * (1 + 2 + 6)
         assert not data["ok"]
+        # the CSV mismatch row has the header's width: its word field is quoted
+        assert cli.main(["oracle-diff", "--max-degree", "3", "--format", "csv"]) == 1
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows == [["degree", "side", "perm", "formula", "trace"], ["3", "2", "1,2,0", "6", "5"]]
 
     def test_oracle_block_fills_no_cache(self):
         from arccalc.cli import _oracle_block
@@ -182,6 +188,17 @@ class TestSuites:
         _neighborhood_boundary.cache_clear()
         assert _oracle_block((6, 1)) == (720, [])
         assert _neighborhood_boundary.cache_info().currsize == 0
+
+    def test_oracle_block_checks_no_word(self, monkeypatch):
+        # the words of all_perms are permutations: no ArcClass checks them
+        from arccalc import surfaces
+        from arccalc.cli import _oracle_block
+
+        def no_check(word):
+            raise AssertionError(f"the sweep checked {word!r}")
+
+        monkeypatch.setattr(surfaces, "as_perm", no_check)
+        assert _oracle_block((6, 2)) == (720, [])
 
     def test_oracle_diff_threads_match_serial(self):
         a = run("oracle-diff", "--max-degree", "4", "--format", "json")
@@ -259,6 +276,26 @@ class TestSuites:
         lines = res.stdout.splitlines()
         assert lines[0] == "claim,params,inequality,holds"
         assert all(line.endswith("True") for line in lines[1:])
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("invariants", "--perm", "1,2,0", "--side", "2", "--ambient", "5,3"),
+            ("oracle-diff", "--max-degree", "3"),
+            ("homology", "--genus", "2", "--side", "1"),
+            ("homotopy", "--max-degree", "3", "--genus", "2", "--side", "2"),
+            ("e1", "--ambient", "3,2", "--side", "1", "--max-p", "3"),
+            ("ledger", "--g-max", "6", "--k-max", "3"),
+            ("exceptions", "--case", "surj-s01"),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_csv_rows_have_the_header_width(self, args):
+        res = run(*args, "--format", "csv")
+        assert res.returncode == 0
+        header, *rows = csv.reader(res.stdout.splitlines())
+        assert rows or args[0] == "oracle-diff"
+        assert all(len(row) == len(header) for row in rows), args[0]
 
     def test_exceptions_csv(self):
         res = run("exceptions", "--case", "surj-s11", "--format", "csv")

@@ -1,4 +1,5 @@
 import doctest
+from pathlib import Path
 
 import arccalc.complexes
 import arccalc.e1page
@@ -21,3 +22,11 @@ def test_doctests():
     ):
         result = doctest.testmod(module)
         assert result.failed == 0, module.__name__
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    # optimize=0 keeps the example's asserts under python -O
+    exec(compile(code, "README.md", "exec", optimize=0), {})
