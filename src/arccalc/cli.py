@@ -2,10 +2,13 @@
 Command-line front end: every verification suite as a subcommand with
 machine-readable output.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.  Output is
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.  Each flag
+states its domain once, in ``COMMAND_FLAGS`` or ``GLOBAL_FLAGS``, and argparse
+checks it; a runner checks only the rules that join two flags.  Output is
 deterministic for a fixed configuration.  Reports are written as they are
 rendered, JSON a block of encoder chunks at a time and CSV and table a line
-at a time, so no whole-report string is held.
+at a time, so no whole-report string is held; a reader that closes the pipe
+early ends the report quietly.
 """
 
 from __future__ import annotations
@@ -38,37 +41,60 @@ FORMAT_ENV = "ARCCALC_FORMAT"
 # of the joined report holds the chunk list and the whole string at once
 JSON_BLOCK = 8192
 
+
+def _at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    # argparse names the type in its error for text like 'x': invalid integer value
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"invalid value: {value} (must be >= {low})")
+        return value
+
+    return integer
+
+
+def _surface(text: str) -> SurfaceType:
+    """An argparse type: an ambient surface written ``g,r``."""
+    try:
+        g, r = (int(x) for x in text.split(","))
+        return SurfaceType(g, r)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad surface {text!r}: {exc}") from None
+
+
 # registry used both to build the parser and to answer --describe
 COMMAND_FLAGS: dict[str, list[tuple[str, dict]]] = {
     "invariants": [
         ("--perm", {"required": True, "help": "comma-separated word, e.g. 1,2,0"}),
         ("--side", {"type": int, "choices": (1, 2), "required": True, "help": "1 or 2"}),
-        ("--ambient", {"default": None, "help": "ambient surface as g,r"}),
+        ("--ambient", {"type": _surface, "default": None, "help": "ambient surface as g,r"}),
     ],
     "oracle-diff": [
-        ("--max-degree", {"type": int, "default": 6, "help": "exhaustive degree cap (<= 8)"}),
+        ("--max-degree", {"type": int, "choices": range(1, complexes.MAX_DEGREE_CAP + 1), "default": 6, "help": "exhaustive degree cap"}),
     ],
     "homology": [
-        ("--genus", {"type": int, "required": True, "help": "quotient genus (>= 2)"}),
+        ("--genus", {"type": _at_least(2), "required": True, "help": "quotient genus (>= 2)"}),
         ("--side", {"type": int, "choices": (1, 2), "required": True, "help": "1 or 2"}),
-        ("--max-degree", {"type": int, "default": None, "help": "degree cap (<= 8)"}),
+        ("--max-degree", {"type": int, "choices": range(3, complexes.MAX_DEGREE_CAP + 1), "default": None, "help": "degree cap; the report covers degrees 2 .. cap-1"}),
     ],
     "homotopy": [
-        ("--max-degree", {"type": int, "default": 6, "help": "exhaustive degree cap (<= 8)"}),
-        ("--genus", {"type": int, "default": None, "help": "also check the quotient lift at this genus"}),
+        ("--max-degree", {"type": int, "choices": range(1, complexes.MAX_DEGREE_CAP + 1), "default": 6, "help": "exhaustive degree cap"}),
+        ("--genus", {"type": _at_least(2), "default": None, "help": "also check the quotient lift at this genus (>= 2)"}),
         ("--side", {"type": int, "choices": (1, 2), "default": None, "help": "side for the quotient lift"}),
-        ("--samples", {"type": int, "default": 0, "help": "random words per sampled degree"}),
-        ("--sample-degree", {"type": int, "action": "append", "default": None, "help": "degree to sample (repeatable)"}),
+        ("--samples", {"type": _at_least(0), "default": 0, "help": "random words per sampled degree (>= 0)"}),
+        ("--sample-degree", {"type": int, "choices": range(2, complexes.MAX_DEGREE_CAP + 1), "action": "append", "default": None, "help": "degree to sample, from 2 where the identity starts (repeatable)"}),
     ],
     "e1": [
-        ("--ambient", {"required": True, "help": "ambient surface as g,r"}),
+        ("--ambient", {"type": _surface, "required": True, "help": "ambient surface as g,r"}),
         ("--side", {"type": int, "choices": (1, 2), "required": True, "help": "1 or 2"}),
-        ("--max-p", {"type": int, "default": 4, "help": "last page column"}),
+        ("--max-p", {"type": int, "choices": range(1, complexes.MAX_DEGREE_CAP + 1), "default": 4, "help": "last page column"}),
         ("--with-d1", {"action": "store_true", "help": "emit first-differential matrices and check them"}),
     ],
     "ledger": [
-        ("--g-max", {"type": int, "default": 50, "help": "genus grid bound"}),
-        ("--k-max", {"type": int, "default": 20, "help": "degree grid bound"}),
+        ("--g-max", {"type": _at_least(1), "default": 50, "help": "genus grid bound (>= 1)"}),
+        ("--k-max", {"type": _at_least(1), "default": 20, "help": "degree grid bound (>= 1)"}),
         ("--failures-only", {"action": "store_true", "help": "emit only violated obligations"}),
     ],
     "exceptions": [
@@ -90,7 +116,7 @@ COMMAND_HELP = {
 GLOBAL_FLAGS: list[tuple[str, dict]] = [
     ("--format", {"choices": FORMATS, "default": None, "help": f"output format (default from ${FORMAT_ENV} or table)"}),
     ("--output", {"default": None, "help": "write the report to this path instead of stdout"}),
-    ("--threads", {"type": int, "default": 1, "help": "worker count for exhaustive sweeps"}),
+    ("--threads", {"type": _at_least(1), "default": 1, "help": "worker count for exhaustive sweeps (>= 1)"}),
     ("--seed", {"type": int, "default": 0, "help": "seed for sampled checks"}),
 ]
 
@@ -123,20 +149,6 @@ def describe() -> dict:
         "format_env": FORMAT_ENV,
         "exit_codes": {"pass": 0, "check_failure": 1, "usage_error": 2},
     }
-
-
-def _parse_surface(text: str, parser: argparse.ArgumentParser) -> SurfaceType:
-    try:
-        g, r = (int(x) for x in text.split(","))
-        return SurfaceType(g, r)
-    except ValueError as exc:
-        parser.error(f"bad surface {text!r}: {exc}")
-
-
-def _check_degree_cap(value: int, parser: argparse.ArgumentParser, low: int = 1) -> int:
-    if not low <= value <= complexes.MAX_DEGREE_CAP:
-        parser.error(f"degree cap must be in [{low}, {complexes.MAX_DEGREE_CAP}]")
-    return value
 
 
 def _oracle_block(task: tuple[int, int]) -> tuple[int, list[dict]]:
@@ -188,9 +200,8 @@ def run_invariants(args, parser) -> tuple[dict, tuple[str, ...], bool]:
     }
     ok = formula == trace
     if args.ambient is not None:
-        ambient = _parse_surface(args.ambient, parser)
         try:
-            label = cut_surface(ambient, a)
+            label = cut_surface(args.ambient, a)
         except ValueError as exc:
             parser.error(str(exc))
         row["stabilizer_g"] = label.g
@@ -202,8 +213,7 @@ def run_invariants(args, parser) -> tuple[dict, tuple[str, ...], bool]:
 
 
 def run_oracle_diff(args, parser) -> tuple[dict, tuple[str, ...], bool]:
-    cap = _check_degree_cap(args.max_degree, parser)
-    tasks = [(d, side) for d in range(1, cap + 1) for side in (1, 2)]
+    tasks = [(d, side) for d in range(1, args.max_degree + 1) for side in (1, 2)]
     blocks = _pmap(_oracle_block, tasks, args.threads)
     rows = [row for _, block in blocks for row in block]
     checked = sum(n for n, _ in blocks)
@@ -211,11 +221,6 @@ def run_oracle_diff(args, parser) -> tuple[dict, tuple[str, ...], bool]:
 
 
 def run_homology(args, parser) -> tuple[dict, tuple[str, ...], bool]:
-    if args.genus < 2:
-        parser.error("quotient genus must be >= 2")
-    if args.max_degree is not None:
-        # the report covers degrees 2 .. max_degree-1
-        _check_degree_cap(args.max_degree, parser, 3)
     rows = complexes.exactness_report(args.genus, args.side, args.max_degree)
     for r in rows:
         r["torsion"] = ";".join(map(str, r["torsion"])) or "-"
@@ -224,25 +229,20 @@ def run_homology(args, parser) -> tuple[dict, tuple[str, ...], bool]:
 
 
 def run_homotopy(args, parser) -> tuple[dict, tuple[str, ...], bool]:
-    cap = _check_degree_cap(args.max_degree, parser)
     if (args.genus is None) != (args.side is None):
         parser.error("--genus and --side go together")
     if args.genus is not None:
-        # a genus below 2, or a top degree g+side-1 over the cap
+        # a top degree g+side-1 over the cap
         try:
             complexes._quotient_lift_top(args.genus, args.side)
         except ValueError as exc:
             parser.error(str(exc))
-    if args.samples < 0:
-        parser.error("--samples must be >= 0")
     if args.sample_degree and not args.samples:
         parser.error("--sample-degree needs a positive --samples")
     sample_degrees = args.sample_degree or ([7, 8] if args.samples else [])
-    for d in sample_degrees:
-        _check_degree_cap(d, parser, 2)  # the identity starts at degree 2
     rows = []
-    rep = complexes.verify_homotopy(cap)
-    rows.append({"check": "full-complex", "detail": f"degrees 2..{cap}", "checked": rep.checked, "failures": len(rep.failures), "ok": rep.ok})
+    rep = complexes.verify_homotopy(args.max_degree)
+    rows.append({"check": "full-complex", "detail": f"degrees 2..{args.max_degree}", "checked": rep.checked, "failures": len(rep.failures), "ok": rep.ok})
     if args.genus is not None:
         qrep = complexes.verify_quotient_homotopy(args.genus, args.side)
         rows.append({"check": "quotient-lift", "detail": f"g={args.genus} side={args.side}", "checked": qrep.checked, "failures": len(qrep.failures), "ok": qrep.ok})
@@ -253,11 +253,11 @@ def run_homotopy(args, parser) -> tuple[dict, tuple[str, ...], bool]:
 
 
 def run_e1(args, parser) -> tuple[dict, tuple[str, ...], bool]:
-    ambient = _parse_surface(args.ambient, parser)
     # a first differential needs a column p >= 2 to start from
-    _check_degree_cap(args.max_p, parser, 2 if args.with_d1 else 1)
+    if args.with_d1 and args.max_p < 2:
+        parser.error("--with-d1 needs --max-p >= 2")
     try:
-        page = e1page.e1_skeleton(ambient, args.side, args.max_p)
+        page = e1page.e1_skeleton(args.ambient, args.side, args.max_p)
     except ValueError as exc:
         parser.error(str(exc))
     rows = []
@@ -285,8 +285,6 @@ def run_e1(args, parser) -> tuple[dict, tuple[str, ...], bool]:
 
 
 def run_ledger(args, parser) -> tuple[dict, tuple[str, ...], bool]:
-    if args.g_max < 1 or args.k_max < 1:
-        parser.error("grid bounds must be >= 1")
     rows = ledger.main_theorem_ledger(args.g_max, args.k_max)
     total, ok = len(rows), all(o.holds for o in rows)
     if args.failures_only:
@@ -305,7 +303,8 @@ def run_ledger(args, parser) -> tuple[dict, tuple[str, ...], bool]:
 
 def run_exceptions(args, parser) -> tuple[dict, tuple[str, ...], bool]:
     ok, computed = ledger.check_orbit_set_exceptions(args.case)
-    return {"rows": [t.to_json() for t in computed]}, ("case", "l", "m", "n", "g", "k"), ok
+    columns = ("case", "l", "m", "n", "g", "k")
+    return {"rows": [dict(zip(columns, (t.case, *t.lm, t.n, t.g, t.k))) for t in computed]}, columns, ok
 
 
 RUNNERS = {
@@ -361,8 +360,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command is None:
         parser.error("a subcommand is required (or --describe)")
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     fmt = args.format or os.environ.get(FORMAT_ENV) or "table"
     if fmt not in FORMATS:
         parser.error(f"bad format {fmt!r} (from ${FORMAT_ENV}?)")
@@ -377,7 +374,13 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             parser.error(f"cannot write --output {args.output!r}: {exc.strerror}")
     else:
-        sys.stdout.writelines(blocks)
+        try:
+            sys.stdout.writelines(blocks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone (`| head`): stdout goes to the null device,
+            # so the flush at exit is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if ok else 1
 
 

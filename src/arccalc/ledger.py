@@ -63,12 +63,9 @@ def twisted_range(mode: str, n: int, k: int, g: int, lm: tuple[int, int] | None 
     if min(n, k, g) < 0:
         raise ValueError("n, k, g must be >= 0")
     needs_eps, rhs = _TWISTED_MODES[mode]
-    if needs_eps:
-        if lm is None:
-            raise ValueError(f"mode {mode!r} needs the gluing (l, m)")
-        e = epsilon(*lm)
-    else:
-        e = epsilon(*lm) if lm is not None else 0
+    if needs_eps and lm is None:
+        raise ValueError(f"mode {mode!r} needs the gluing (l, m)")
+    e = 0 if lm is None else epsilon(*lm)
     return 2 * g >= rhs(n, k, e)
 
 
@@ -177,9 +174,6 @@ class ExceptionTuple:
     n: int
     g: int
     k: int
-
-    def to_json(self) -> dict:
-        return {"case": self.case, "l": self.lm[0], "m": self.lm[1], "n": self.n, "g": self.g, "k": self.k}
 
 
 # case -> (side, additive hypothesis constant c in 2g >= 3n + k + c)

@@ -1,11 +1,14 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 
 import pytest
+
+from arccalc import cli
 
 # under python -O the CLI runs under -O too
 CLI = [sys.executable, *["-O"] * sys.flags.optimize, "-m", "arccalc.cli"]
@@ -122,8 +125,100 @@ class TestExitCodes:
         errors = [line for line in res.stderr.splitlines() if "error:" in line]
         assert len(errors) == 1 and "cannot write --output" in errors[0]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_closed_pipe_ends_the_report_quietly(self, fmt):
+        # the reader takes one line and closes its end, as `| head -n 1` does;
+        # the report is larger than the pipe and stdout buffers together
+        env = {k: v for k, v in os.environ.items() if k != "ARCCALC_FORMAT"}
+        proc = subprocess.Popen(
+            CLI + ["ledger", "--g-max", "20", "--k-max", "10", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert "Traceback" not in err and err == ""
+
     def test_describe_exits_zero(self):
         assert run("--describe").returncode == 0
+
+
+# a valid invocation of each command; a test appends one flag to it
+VALID = {
+    "invariants": ["--perm", "1,0", "--side", "1"],
+    "oracle-diff": [],
+    "homology": ["--genus", "2", "--side", "1"],
+    "homotopy": [],
+    "e1": ["--ambient", "3,2", "--side", "1"],
+    "ledger": [],
+    "exceptions": ["--case", "inj-s11"],
+}
+
+# integer flags whose every value is valid
+UNBOUNDED = {"--seed"}
+
+
+def _integer_domains():
+    """(command, flag, its bound values, the values just past them) per bounded integer flag."""
+    for command, flags in cli.COMMAND_FLAGS.items():
+        for flag, kwargs in flags + cli.GLOBAL_FLAGS:
+            kind = kwargs.get("type")
+            if kind is int and "choices" in kwargs:
+                low, high = min(kwargs["choices"]), max(kwargs["choices"])
+                yield command, flag, (low, high), (low - 1, high + 1)
+            elif getattr(kind, "__name__", None) == "integer":
+                # the help states the lower bound that the type enforces
+                low = int(re.search(r"\(>= (-?\d+)\)", kwargs["help"]).group(1))
+                yield command, flag, (low,), (low - 1,)
+
+
+class Ran(Exception):
+    """Raised by a patched runner: the arguments were accepted."""
+
+
+class TestFlagDomains:
+    def test_every_integer_flag_declares_its_domain(self):
+        for command, flags in cli.COMMAND_FLAGS.items():
+            for flag, kwargs in flags + cli.GLOBAL_FLAGS:
+                if kwargs.get("type") is int and "choices" not in kwargs:
+                    assert flag in UNBOUNDED, (command, flag)
+
+    @pytest.mark.parametrize(
+        "command, flag, bounds, past",
+        [pytest.param(*case, id=f"{case[0]} {case[1]}") for case in _integer_domains()],
+    )
+    def test_a_value_past_a_bound_is_a_usage_error(
+        self, monkeypatch, capsys, command, flag, bounds, past
+    ):
+        def runner(args, parser):
+            raise Ran(args)
+
+        monkeypatch.delenv("ARCCALC_FORMAT", raising=False)
+        monkeypatch.setitem(cli.RUNNERS, command, runner)
+        for value in past:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, *VALID[command], flag, str(value)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"usage: arccalc {command} " in err
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and f"error: argument {flag}: " in errors[0], err
+        for value in bounds:
+            with pytest.raises(Ran) as ran:
+                cli.main([command, *VALID[command], flag, str(value)])
+            parsed = getattr(ran.value.args[0], flag[2:].replace("-", "_"))
+            assert parsed in (value, [value]), (flag, parsed)
+
+    @pytest.mark.parametrize("command", ["invariants", "e1"])
+    def test_a_bad_surface_names_the_flag(self, capsys, command):
+        argv = [command, *VALID[command], "--ambient", "2,-1"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"arccalc {command}: error: argument --ambient: bad surface '2,-1': invalid surface type (2, -1)"]
 
 
 class TestInvariants:

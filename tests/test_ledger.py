@@ -141,7 +141,7 @@ class TestExceptionLists:
     def test_tuples_sorted_and_serializable(self):
         tuples = orbit_set_exceptions("surj-s11")
         assert tuples == sorted(tuples)
-        assert tuples[0].to_json()["case"] == "surj-s11"
+        assert tuples[0].case == "surj-s11"
 
     def test_fullness_shortcut_agrees_with_enumeration(self):
         # the brute force decides fullness by the identity word alone; the
