@@ -4,11 +4,13 @@ machine-readable output.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.  Each flag
 states its domain once, in ``COMMAND_FLAGS`` or ``GLOBAL_FLAGS``, and argparse
-checks it; a runner checks only the rules that join two flags.  Output is
-deterministic for a fixed configuration.  Reports are written as they are
-rendered, JSON a block of encoder chunks at a time and CSV and table a line
-at a time, so no whole-report string is held; a reader that closes the pipe
-early ends the report quietly.
+checks it; a runner checks only the rules that join two flags, through its
+command's own parser, so every usage error of a command prints that
+command's usage.  Output is deterministic for a fixed configuration.
+Reports are written as they are rendered, JSON a block of encoder chunks at
+a time and CSV and table a line at a time, so no whole-report string is
+held.  Reports and ``--describe`` go to stdout through one write, and a
+reader that closes the pipe early ends either quietly.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 from itertools import islice
 from multiprocessing import get_context
 from types import SimpleNamespace
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import complexes, e1page, ledger
 from .perms import all_perms
@@ -132,6 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=COMMAND_HELP[name])
         for flag, kwargs in flags + GLOBAL_FLAGS:
             p.add_argument(flag, **kwargs)
+        # the command's own parser, so its usage errors print its usage
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -352,14 +356,26 @@ def _render(report: dict, columns: tuple[str, ...], fmt: str) -> Iterator[str]:
     yield f"ok: {report['ok']}" + (f"  ({extras})" if extras else "") + "\n"
 
 
+def _write(blocks: Iterable[str]) -> None:
+    """Write text to stdout; a reader that closes the pipe early ends it quietly."""
+    try:
+        sys.stdout.writelines(blocks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`| head`): stdout goes to the null device,
+        # so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.describe:
-        sys.stdout.writelines(_json_blocks(describe()))
+        _write(_json_blocks(describe()))
         return 0
     if args.command is None:
         parser.error("a subcommand is required (or --describe)")
+    parser = args.parser
     fmt = args.format or os.environ.get(FORMAT_ENV) or "table"
     if fmt not in FORMATS:
         parser.error(f"bad format {fmt!r} (from ${FORMAT_ENV}?)")
@@ -374,13 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             parser.error(f"cannot write --output {args.output!r}: {exc.strerror}")
     else:
-        try:
-            sys.stdout.writelines(blocks)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader has gone (`| head`): stdout goes to the null device,
-            # so the flush at exit is quiet
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _write(blocks)
     return 0 if ok else 1
 
 

@@ -13,6 +13,16 @@ rule of Havas, Holt and Rees, 1993), which keeps coefficients small on
 torsion-heavy input, and it retires only once it divides every entry left,
 so the invariant factors form a divisibility chain as they are found.
 
+Memory, not time, is what bounds sparse elimination on large boundary
+matrices (Dumas, Heckenbach, Saunders and Welker, 2003), so the eliminator
+keeps little beside the fill-in.  Its rows are the input's own dicts until
+one is first written, when that row alone is copied, so ``snf`` never
+mutates its input.  Each column keeps a plain list of the rows that have
+held an entry there, appended to and never pruned: it may name a row twice,
+or a row whose entry is gone, and it is rebuilt only when its column
+pivots.  A retired pivot's row is a fresh one-entry dict, since a Python
+dict never shrinks as entries are deleted.
+
 Homology clears a boundary matrix by the unit pivots of the one below it,
 the *clearing* of persistent homology (Chen and Kerber, "Persistent
 homology computation with a twist", 2011; Bauer, Kerber and Reininghaus,
@@ -145,17 +155,25 @@ class SNFResult:
 
 
 class _Eliminator:
-    """Row/column elimination state of ``snf``."""
+    """
+    Row/column elimination state of ``snf`` (the module docstring says what
+    it keeps and why).  ``rows[i]`` is the input's own dict, or a fresh
+    empty one for a skipped row, until ``own(i)`` copies it at its first
+    write.  ``col_rows[j]`` may name a row twice, or a row whose entry in
+    column ``j`` is gone; ``clear_pivot`` rebuilds the pivot column's list
+    before it reads it, and leaves a retired pivot a one-entry row.
+    """
 
     def __init__(self, m: SparseIntMatrix, want_transforms: bool, skip_rows: frozenset[int]):
         self.nrows = m.nrows
+        self.shared = m._rows
         self.rows: list[dict[int, int]] = [
-            {} if i in skip_rows else dict(r) for i, r in enumerate(m._rows)
+            {} if i in skip_rows else r for i, r in enumerate(m._rows)
         ]
-        self.col_rows: list[set[int]] = [set() for _ in range(m.ncols)]
+        self.col_rows: list[list[int]] = [[] for _ in range(m.ncols)]
         for i, row in enumerate(self.rows):
             for j in row:
-                self.col_rows[j].add(i)
+                self.col_rows[j].append(i)
         self.done_rows: set[int] = set()
         self.cursor = 0
         self.u_rows: list[dict[int, int]] | None = None
@@ -164,23 +182,29 @@ class _Eliminator:
             self.u_rows = [{i: 1} for i in range(m.nrows)]
             self.vt_rows = [{j: 1} for j in range(m.ncols)]
 
-    # -- the elementary row operation; it keeps col_rows and U in sync --
+    def own(self, i: int) -> dict[int, int]:
+        """Row ``i``, copied first if it is still the input's."""
+        row = self.rows[i]
+        if row is self.shared[i]:
+            row = self.rows[i] = dict(row)
+        return row
+
+    # -- the elementary row operation; it lists new entries and keeps U in sync --
 
     def row_op(self, dst: int, src: int, c: int) -> None:
         # row dst += c * row src
-        rdst, col_rows = self.rows[dst], self.col_rows
+        rdst, col_rows = self.own(dst), self.col_rows
         for j, v in self.rows[src].items():
-            # col_rows changes only where an entry appears or disappears
+            # col_rows changes only where an entry appears
             if j not in rdst:
                 rdst[j] = c * v
-                col_rows[j].add(dst)
+                col_rows[j].append(dst)
             else:
                 new = rdst[j] + c * v
                 if new:
                     rdst[j] = new
                 else:
                     del rdst[j]
-                    col_rows[j].discard(dst)
         if self.u_rows is not None:
             _add_multiple(self.u_rows[dst], self.u_rows[src], c)
 
@@ -194,17 +218,21 @@ class _Eliminator:
         it; if remainders are left, the pivot moves to the row with the least
         remainder at ``(i, pj)`` and clearing starts over.  The pivot row is
         then reduced the same way, moving to the column with the least
-        remainder.  A non-unit pivot alone in its row and column retires
-        only once it divides every entry of the rows not yet retired: if one
-        does not, that row is added to the pivot row and clearing goes on.
-        So each pivot divides every later one.  Terminates because the
-        pivot's absolute value strictly drops at every move.
+        remainder; the reduced row is built as a fresh dict, so a pivot
+        that retires holds a one-entry row.  A non-unit pivot alone in its
+        row and column retires only once it divides every entry of the rows
+        not yet retired: if one does not, that row is added to the pivot row
+        and clearing goes on.  So each pivot divides every later one.
+        Terminates because the pivot's absolute value strictly drops at
+        every move.
         """
         rows, col_rows, vt_rows = self.rows, self.col_rows, self.vt_rows
         while True:
             v = rows[pi][pj]
             least = None
-            for i in list(col_rows[pj]):
+            # drop the repeats and the rows whose entry is gone
+            col = col_rows[pj] = [i for i in dict.fromkeys(col_rows[pj]) if pj in rows[i]]
+            for i in col:
                 if i == pi:
                     continue
                 q = rows[i][pj] // v
@@ -217,21 +245,19 @@ class _Eliminator:
                 pi = least
                 continue
             # column pj now holds only the pivot, so the column operation
-            # "col j -= q * col pj" changes row pi alone: do it in place
-            row = rows[pi]
-            for j in list(row):
+            # "col j -= q * col pj" changes row pi alone
+            row = {pj: v}
+            for j, x in rows[pi].items():
                 if j == pj:
                     continue
-                q, r = divmod(row[j], v)
+                q, r = divmod(x, v)
                 if vt_rows is not None and q:
                     _add_multiple(vt_rows[j], vt_rows[pj], -q)
                 if r:
                     row[j] = r
                     if least is None or abs(r) < abs(row[least]):
                         least = j
-                else:
-                    del row[j]
-                    col_rows[j].discard(pi)
+            rows[pi] = row
             if least is not None:
                 pj = least
                 continue
@@ -294,11 +320,15 @@ def snf(
     no longer be unimodular, so ``skip_rows`` with ``want_transforms``
     raises ``ValueError``.
 
+    ``m`` is never mutated: its rows are shared with the elimination until
+    they are first written, and copied then.
+
     No row or column is ever moved.  Each pivot is recorded at the position
-    where ``clear_pivot`` leaves it, alone in its row and column and dividing
-    every entry left, so the pivots retire in divisibility order.  U lists
-    the pivot rows in that order (negated where the pivot is negative)
-    before the other rows, and V the pivot columns before the other columns.
+    where ``clear_pivot`` leaves it, alone in its row and column (a
+    one-entry dict) and dividing every entry left, so the pivots retire in
+    divisibility order.  U lists the pivot rows in that order (negated where
+    the pivot is negative) before the other rows, and V the pivot columns
+    before the other columns.
     """
     if skip_rows and want_transforms:
         raise ValueError("skip_rows and want_transforms exclude each other")

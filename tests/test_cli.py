@@ -125,17 +125,30 @@ class TestExitCodes:
         errors = [line for line in res.stderr.splitlines() if "error:" in line]
         assert len(errors) == 1 and "cannot write --output" in errors[0]
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_a_closed_pipe_ends_the_report_quietly(self, fmt):
+    @pytest.mark.parametrize(
+        "args, reads",
+        [
+            pytest.param(["ledger", "--g-max", "20", "--k-max", "10", "--format", "csv"], 1, id="csv"),
+            pytest.param(["ledger", "--g-max", "20", "--k-max", "10", "--format", "json"], 1, id="json"),
+            # the description fits in the pipe's buffer, so the reader has
+            # closed its end before the CLI starts, as `| true` can
+            pytest.param(["--describe"], 0, id="describe"),
+        ],
+    )
+    def test_a_closed_pipe_ends_the_report_quietly(self, args, reads):
         # the reader takes one line and closes its end, as `| head -n 1` does;
         # the report is larger than the pipe and stdout buffers together
         env = {k: v for k, v in os.environ.items() if k != "ARCCALC_FORMAT"}
+        read_end, write_end = os.pipe()
+        if not reads:
+            os.close(read_end)
         proc = subprocess.Popen(
-            CLI + ["ledger", "--g-max", "20", "--k-max", "10", "--format", fmt],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            CLI + args, stdout=write_end, stderr=subprocess.PIPE, text=True, env=env
         )
-        assert proc.stdout.readline()
-        proc.stdout.close()
+        os.close(write_end)
+        if reads:
+            with os.fdopen(read_end) as out:
+                assert out.readline()
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait() == 0
@@ -210,6 +223,29 @@ class TestFlagDomains:
                 cli.main([command, *VALID[command], flag, str(value)])
             parsed = getattr(ran.value.args[0], flag[2:].replace("-", "_"))
             assert parsed in (value, [value]), (flag, parsed)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(argv, message, id=" ".join(argv))
+            for argv, message in [
+                (["homotopy", "--genus", "3"], "--genus and --side go together"),
+                (["homotopy", "--sample-degree", "7"], "--sample-degree needs a positive --samples"),
+                (
+                    ["e1", "--ambient", "3,2", "--side", "1", "--max-p", "1", "--with-d1"],
+                    "--with-d1 needs --max-p >= 2",
+                ),
+            ]
+        ],
+    )
+    def test_a_rule_joining_two_flags_prints_the_command_usage(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: arccalc {argv[0]} ")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"arccalc {argv[0]}: error: {message}"]
 
     @pytest.mark.parametrize("command", ["invariants", "e1"])
     def test_a_bad_surface_names_the_flag(self, capsys, command):

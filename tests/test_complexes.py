@@ -279,6 +279,23 @@ class TestClearing:
         assert res.rank == m.nrows - skipped
         check_gf2_rank(m, res)
 
+    @pytest.mark.parametrize(
+        "g, side",
+        [
+            pytest.param(None, None, id="full"),
+            pytest.param(3, 1, id="g3-s1"),
+            pytest.param(4, 2, id="g4-s2"),
+        ],
+    )
+    def test_homology_leaves_the_boundary_matrices_as_built(self, g, side):
+        # snf shares its rows with the complex's matrices until it writes
+        # them, so homology at every degree must leave each matrix as built
+        c = perm_complex(6) if g is None else quotient_complex(g, side, 7)
+        for d in range(c.min_degree, c.max_degree + 1):
+            homology(c, d)
+        for d in range(c.min_degree + 1, c.max_degree + 1):
+            assert c.boundary_matrix(d) == face_matrix(c.basis(d), c.basis(d - 1)), d
+
 
 class TestHomotopy:
     def test_full_exhaustive(self):

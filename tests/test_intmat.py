@@ -1,3 +1,4 @@
+import copy
 import os
 import random
 import subprocess
@@ -69,6 +70,15 @@ def torsion_heavy_products(draw):
         lambda lo, hi: draw(st.integers(min_value=lo, max_value=hi)),
         lambda seq: draw(st.sampled_from(seq)),
     )
+
+
+@st.composite
+def dense_matrices(draw, bound):
+    """A dense matrix of 1..7 rows and columns with entries in ``[-bound, bound]``."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    m = draw(st.integers(min_value=1, max_value=7))
+    entries = st.lists(st.integers(min_value=-bound, max_value=bound), min_size=m, max_size=m)
+    return [draw(entries) for _ in range(n)]
 
 
 def replay_torsion_heavy(seed):
@@ -169,6 +179,62 @@ class TestSNFExamples:
     def test_rank(self):
         m = from_dense([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
         assert snf(m).rank == 2
+
+
+class TestLazyColumnIndex:
+    """A column's list of rows is pruned only when its column pivots, so it
+    may name a row twice, or a row whose entry is gone; each case equals the
+    dense referee, and U @ m @ V is the diagonal."""
+
+    @pytest.mark.parametrize(
+        "dense, expected",
+        [
+            # pivot (0, 0) cancels row 1's entry in column 2; the non-unit
+            # pick (2, 1) brings it back, so column 2 names row 1 twice when
+            # that pivot moves on to (2, 2)
+            pytest.param([[1, 2, 2], [-1, 2, -2], [1, 0, -1]], (1, 1, 12), id="reappears-twice"),
+            # pivot (1, 1) clears row 1's entry in column 0 and retires, and
+            # column 0 still names row 1 when (0, 0) pivots
+            pytest.param([[2, 2], [-1, 1]], (1, 4), id="retired-row-listed"),
+            # the unit picks (0, 2) and (2, 1): the first cancels row 1's
+            # entry in column 0 and the second brings it back; when (1, 0)
+            # pivots, column 0 names row 1 twice and the retired rows 0 and 2
+            pytest.param([[1, 0, 1], [1, 2, 1], [1, 1, 0]], (1, 1, 2), id="unit-picks"),
+        ],
+    )
+    def test_stale_listings(self, dense, expected):
+        assert tuple(dense_invariant_factors(dense)) == expected
+        check_with_transforms(dense, expected)
+
+
+class TestInputUntouched:
+    """The eliminator shares its rows with the input until it first writes
+    one, so ``snf`` must copy a row before every write."""
+
+    @given(
+        st.one_of(
+            dense_matrices(1).map(lambda d: ("unit", d)),
+            dense_matrices(9).map(lambda d: ("non-unit", d)),
+            torsion_heavy_products().map(lambda d: ("torsion-heavy", d)),
+        )
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_property_snf_never_mutates_its_input(self, case):
+        _, dense = case
+        m = from_dense(dense)
+        before = copy.deepcopy(m._rows)
+        # the rows of U past the rank make an A with A @ m == 0, whose unit
+        # pivot columns clear m
+        u = snf(m, want_transforms=True)
+        a = from_dense(u.U.to_dense()[u.rank :] or [[0] * m.nrows])
+        a_before = copy.deepcopy(a._rows)
+        skip = snf(a).unit_pivot_columns
+        assert a._rows == a_before
+        for kwargs in ({}, {"want_transforms": True}, {"skip_rows": skip}):
+            first = snf(m, **kwargs)
+            assert m._rows == before, kwargs
+            assert snf(m, **kwargs) == first, kwargs
+        assert snf(m, skip_rows=skip).invariant_factors == u.invariant_factors
 
 
 def bareiss_det(matrix):
