@@ -2,8 +2,9 @@
 Command-line front end: every verification suite as a subcommand with
 machine-readable output.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.  Each flag
-states its domain once, in ``COMMAND_FLAGS`` or ``GLOBAL_FLAGS``, and argparse
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.  Each
+command is declared once, with its help, runner and flags, in ``COMMANDS``.
+Each flag states its domain once, there or in ``GLOBAL_FLAGS``, and argparse
 checks it; a runner checks only the rules that join two flags, through its
 command's own parser, so every usage error of a command prints that
 command's usage.  Output is deterministic for a fixed configuration.
@@ -22,7 +23,7 @@ import sys
 from itertools import islice
 from multiprocessing import get_context
 from types import SimpleNamespace
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import complexes, e1page, ledger
 from .perms import all_perms
@@ -66,55 +67,6 @@ def _surface(text: str) -> SurfaceType:
         raise argparse.ArgumentTypeError(f"bad surface {text!r}: {exc}") from None
 
 
-# registry used both to build the parser and to answer --describe
-COMMAND_FLAGS: dict[str, list[tuple[str, dict]]] = {
-    "invariants": [
-        ("--perm", {"required": True, "help": "comma-separated word, e.g. 1,2,0"}),
-        ("--side", {"type": int, "choices": (1, 2), "required": True, "help": "1 or 2"}),
-        ("--ambient", {"type": _surface, "default": None, "help": "ambient surface as g,r"}),
-    ],
-    "oracle-diff": [
-        ("--max-degree", {"type": int, "choices": range(1, complexes.MAX_DEGREE_CAP + 1), "default": 6, "help": "exhaustive degree cap"}),
-    ],
-    "homology": [
-        ("--genus", {"type": _at_least(2), "required": True, "help": "quotient genus (>= 2)"}),
-        ("--side", {"type": int, "choices": (1, 2), "required": True, "help": "1 or 2"}),
-        ("--max-degree", {"type": int, "choices": range(3, complexes.MAX_DEGREE_CAP + 1), "default": None, "help": "degree cap; the report covers degrees 2 .. cap-1"}),
-    ],
-    "homotopy": [
-        ("--max-degree", {"type": int, "choices": range(1, complexes.MAX_DEGREE_CAP + 1), "default": 6, "help": "exhaustive degree cap"}),
-        ("--genus", {"type": _at_least(2), "default": None, "help": "also check the quotient lift at this genus (>= 2)"}),
-        ("--side", {"type": int, "choices": (1, 2), "default": None, "help": "side for the quotient lift"}),
-        ("--samples", {"type": _at_least(0), "default": 0, "help": "random words per sampled degree (>= 0)"}),
-        ("--sample-degree", {"type": int, "choices": range(2, complexes.MAX_DEGREE_CAP + 1), "action": "append", "default": None, "help": "degree to sample, from 2 where the identity starts (repeatable)"}),
-    ],
-    "e1": [
-        ("--ambient", {"type": _surface, "required": True, "help": "ambient surface as g,r"}),
-        ("--side", {"type": int, "choices": (1, 2), "required": True, "help": "1 or 2"}),
-        ("--max-p", {"type": int, "choices": range(1, complexes.MAX_DEGREE_CAP + 1), "default": 4, "help": "last page column"}),
-        ("--with-d1", {"action": "store_true", "help": "emit first-differential matrices and check them"}),
-    ],
-    "ledger": [
-        ("--g-max", {"type": _at_least(1), "default": 50, "help": "genus grid bound (>= 1)"}),
-        ("--k-max", {"type": _at_least(1), "default": 20, "help": "degree grid bound (>= 1)"}),
-        ("--failures-only", {"action": "store_true", "help": "emit only violated obligations"}),
-    ],
-    "exceptions": [
-        ("--case", {"required": True, "choices": ledger.EXCEPTION_CASES, "help": "exception list to re-derive"}),
-    ],
-}
-
-COMMAND_HELP = {
-    "invariants": "thickening invariants and stabilizer label of one arc class",
-    "oracle-diff": "closed-form boundary count vs ribbon trace, exhaustively",
-    "homology": "exactness report of the realizability quotient complex",
-    "homotopy": "contraction identity on the full and quotient complexes",
-    "e1": "first-page summand tables and first differentials",
-    "exceptions": "brute-force orbit-set exception lists",
-    "ledger": "inequality obligations of the stability induction",
-}
-
-
 GLOBAL_FLAGS: list[tuple[str, dict]] = [
     ("--format", {"choices": FORMATS, "default": None, "help": f"output format (default from ${FORMAT_ENV} or table)"}),
     ("--output", {"default": None, "help": "write the report to this path instead of stdout"}),
@@ -130,12 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--describe", action="store_true", help="print a JSON description of all subcommands and exit")
     sub = parser.add_subparsers(dest="command")
-    for name, flags in COMMAND_FLAGS.items():
-        p = sub.add_parser(name, help=COMMAND_HELP[name])
+    for name, (help_, run, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
         for flag, kwargs in flags + GLOBAL_FLAGS:
             p.add_argument(flag, **kwargs)
-        # the command's own parser, so its usage errors print its usage
-        p.set_defaults(parser=p)
+        # the command's own parser, so its usage errors print its usage,
+        # and its runner, which main calls
+        p.set_defaults(parser=p, run=run)
     return parser
 
 
@@ -143,10 +96,10 @@ def describe() -> dict:
     return {
         "commands": {
             name: {
-                "help": COMMAND_HELP[name],
+                "help": help_,
                 "flags": [flag for flag, _ in flags] + [flag for flag, _ in GLOBAL_FLAGS],
             }
-            for name, flags in sorted(COMMAND_FLAGS.items())
+            for name, (help_, _, flags) in sorted(COMMANDS.items())
         },
         "global_flags": ["--describe"] + [flag for flag, _ in GLOBAL_FLAGS],
         "formats": list(FORMATS),
@@ -195,25 +148,16 @@ def run_invariants(args, parser) -> tuple[dict, tuple[str, ...], bool]:
         parser.error(str(exc))
     formula = boundary_of_neighborhood(a)
     trace = oracle_boundary_count(a.perm, a.side)
-    row = {
-        "perm": ",".join(map(str, a.perm)),
-        "side": args.side,
-        "neighborhood_boundary": formula,
-        "trace_count": trace,
-        "simplex_genus": simplex_genus(a),
-    }
-    ok = formula == trace
+    columns = ("perm", "side", "neighborhood_boundary", "trace_count", "simplex_genus")
+    row = dict(zip(columns, (",".join(map(str, a.perm)), args.side, formula, trace, simplex_genus(a))))
     if args.ambient is not None:
         try:
             label = cut_surface(args.ambient, a)
         except ValueError as exc:
             parser.error(str(exc))
-        row["stabilizer_g"] = label.g
-        row["stabilizer_r"] = label.r
-        columns = ("perm", "side", "neighborhood_boundary", "trace_count", "simplex_genus", "stabilizer_g", "stabilizer_r")
-    else:
-        columns = ("perm", "side", "neighborhood_boundary", "trace_count", "simplex_genus")
-    return {"rows": [row]}, columns, ok
+        row["stabilizer_g"], row["stabilizer_r"] = label.g, label.r
+        columns += ("stabilizer_g", "stabilizer_r")
+    return {"rows": [row]}, columns, formula == trace
 
 
 def run_oracle_diff(args, parser) -> tuple[dict, tuple[str, ...], bool]:
@@ -244,16 +188,17 @@ def run_homotopy(args, parser) -> tuple[dict, tuple[str, ...], bool]:
     if args.sample_degree and not args.samples:
         parser.error("--sample-degree needs a positive --samples")
     sample_degrees = args.sample_degree or ([7, 8] if args.samples else [])
-    rows = []
-    rep = complexes.verify_homotopy(args.max_degree)
-    rows.append({"check": "full-complex", "detail": f"degrees 2..{args.max_degree}", "checked": rep.checked, "failures": len(rep.failures), "ok": rep.ok})
+    columns = ("check", "detail", "checked", "failures", "ok")
+
+    def row(check: str, detail: str, rep) -> dict:
+        return dict(zip(columns, (check, detail, rep.checked, len(rep.failures), rep.ok)))
+
+    rows = [row("full-complex", f"degrees 2..{args.max_degree}", complexes.verify_homotopy(args.max_degree))]
     if args.genus is not None:
-        qrep = complexes.verify_quotient_homotopy(args.genus, args.side)
-        rows.append({"check": "quotient-lift", "detail": f"g={args.genus} side={args.side}", "checked": qrep.checked, "failures": len(qrep.failures), "ok": qrep.ok})
+        rows.append(row("quotient-lift", f"g={args.genus} side={args.side}", complexes.verify_quotient_homotopy(args.genus, args.side)))
     for d in sample_degrees:
-        srep = complexes.verify_homotopy_sampled(d, args.samples, args.seed)
-        rows.append({"check": "sampled", "detail": f"degree {d}", "checked": srep.checked, "failures": len(srep.failures), "ok": srep.ok})
-    return {"rows": rows}, ("check", "detail", "checked", "failures", "ok"), all(r["ok"] for r in rows)
+        rows.append(row("sampled", f"degree {d}", complexes.verify_homotopy_sampled(d, args.samples, args.seed)))
+    return {"rows": rows}, columns, all(r["ok"] for r in rows)
 
 
 def run_e1(args, parser) -> tuple[dict, tuple[str, ...], bool]:
@@ -311,14 +256,43 @@ def run_exceptions(args, parser) -> tuple[dict, tuple[str, ...], bool]:
     return {"rows": [dict(zip(columns, (t.case, *t.lm, t.n, t.g, t.k))) for t in computed]}, columns, ok
 
 
-RUNNERS = {
-    "invariants": run_invariants,
-    "oracle-diff": run_oracle_diff,
-    "homology": run_homology,
-    "homotopy": run_homotopy,
-    "e1": run_e1,
-    "ledger": run_ledger,
-    "exceptions": run_exceptions,
+# command -> (help, runner, flags), in the order `arccalc --help` lists them:
+# the one registry that builds the parser and answers --describe
+COMMANDS: dict[str, tuple[str, Callable, list[tuple[str, dict]]]] = {
+    "invariants": ("thickening invariants and stabilizer label of one arc class", run_invariants, [
+        ("--perm", {"required": True, "help": "comma-separated word, e.g. 1,2,0"}),
+        ("--side", {"type": int, "choices": (1, 2), "required": True, "help": "1 or 2"}),
+        ("--ambient", {"type": _surface, "default": None, "help": "ambient surface as g,r"}),
+    ]),
+    "oracle-diff": ("closed-form boundary count vs ribbon trace, exhaustively", run_oracle_diff, [
+        ("--max-degree", {"type": int, "choices": range(1, complexes.MAX_DEGREE_CAP + 1), "default": 6, "help": "exhaustive degree cap"}),
+    ]),
+    "homology": ("exactness report of the realizability quotient complex", run_homology, [
+        ("--genus", {"type": _at_least(2), "required": True, "help": "quotient genus (>= 2)"}),
+        ("--side", {"type": int, "choices": (1, 2), "required": True, "help": "1 or 2"}),
+        ("--max-degree", {"type": int, "choices": range(3, complexes.MAX_DEGREE_CAP + 1), "default": None, "help": "degree cap; the report covers degrees 2 .. cap-1"}),
+    ]),
+    "homotopy": ("contraction identity on the full and quotient complexes", run_homotopy, [
+        ("--max-degree", {"type": int, "choices": range(1, complexes.MAX_DEGREE_CAP + 1), "default": 6, "help": "exhaustive degree cap"}),
+        ("--genus", {"type": _at_least(2), "default": None, "help": "also check the quotient lift at this genus (>= 2)"}),
+        ("--side", {"type": int, "choices": (1, 2), "default": None, "help": "side for the quotient lift"}),
+        ("--samples", {"type": _at_least(0), "default": 0, "help": "random words per sampled degree (>= 0)"}),
+        ("--sample-degree", {"type": int, "choices": range(2, complexes.MAX_DEGREE_CAP + 1), "action": "append", "default": None, "help": "degree to sample, from 2 where the identity starts (repeatable)"}),
+    ]),
+    "e1": ("first-page summand tables and first differentials", run_e1, [
+        ("--ambient", {"type": _surface, "required": True, "help": "ambient surface as g,r"}),
+        ("--side", {"type": int, "choices": (1, 2), "required": True, "help": "1 or 2"}),
+        ("--max-p", {"type": int, "choices": range(1, complexes.MAX_DEGREE_CAP + 1), "default": 4, "help": "last page column"}),
+        ("--with-d1", {"action": "store_true", "help": "emit first-differential matrices and check them"}),
+    ]),
+    "ledger": ("inequality obligations of the stability induction", run_ledger, [
+        ("--g-max", {"type": _at_least(1), "default": 50, "help": "genus grid bound (>= 1)"}),
+        ("--k-max", {"type": _at_least(1), "default": 20, "help": "degree grid bound (>= 1)"}),
+        ("--failures-only", {"action": "store_true", "help": "emit only violated obligations"}),
+    ]),
+    "exceptions": ("brute-force orbit-set exception lists", run_exceptions, [
+        ("--case", {"required": True, "choices": ledger.EXCEPTION_CASES, "help": "exception list to re-derive"}),
+    ]),
 }
 
 
@@ -379,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     fmt = args.format or os.environ.get(FORMAT_ENV) or "table"
     if fmt not in FORMATS:
         parser.error(f"bad format {fmt!r} (from ${FORMAT_ENV}?)")
-    report, columns, ok = RUNNERS[args.command](args, parser)
+    report, columns, ok = args.run(args, parser)
     report["command"] = args.command
     report["ok"] = ok
     blocks = _render(report, columns, fmt)

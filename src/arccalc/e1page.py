@@ -100,16 +100,17 @@ def d1_follows_cancellation(page: E1Page, p: int, m: SparseIntMatrix) -> bool:
     """
     Whether every column of ``m``, read as the first differential from
     column ``p``, holds exactly the signed faces that
-    :func:`cancellation_report` leaves for its source word.
+    :func:`cancellation_report` leaves for its source word.  A matrix of
+    another shape than columns ``p-1`` by ``p`` does not.
     """
     targets = [s.perm for s in page.column(p - 1)]
+    sources = page.column(p)
+    if (m.nrows, m.ncols) != (len(targets), len(sources)):
+        return False
     cols: list[dict[Perm, int]] = [{} for _ in range(m.ncols)]
     for i, j, v in m.entries():
         cols[j][targets[i]] = v
-    sources = page.column(p)
-    return len(sources) == m.ncols and all(
-        col == cancellation_report(s.perm) for col, s in zip(cols, sources)
-    )
+    return all(col == cancellation_report(s.perm) for col, s in zip(cols, sources))
 
 
 def cancellation_report(word: Perm) -> dict[Perm, int]:

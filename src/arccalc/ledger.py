@@ -11,7 +11,8 @@ Three kinds of artifacts:
 * ``orbit_set_exceptions`` re-derives, by brute force over realizability, the
   finitely many parameter tuples where the orbit sets used by the twisted
   induction are smaller than required; the result must match the known
-  exception lists exactly.
+  exception lists exactly.  Each case audits one relative stability
+  statement and takes its genus hypothesis from ``twisted_range``.
 """
 
 from __future__ import annotations
@@ -34,15 +35,16 @@ def epsilon(l: int, m: int) -> int:
     return 1 if (l, m) == (1, -1) else 0
 
 
-# mode -> (needs epsilon, threshold rhs as function of (n, k, eps))
+# mode -> (needs epsilon, c): the statement holds for 2g >= 3n + k + c - eps,
+# with eps = 0 when the mode does not need it
 _TWISTED_MODES = {
-    "abs-iso-s01": (False, lambda n, k, e: 3 * n + k),
-    "abs-surj": (True, lambda n, k, e: 3 * n + k - e),
-    "abs-iso": (False, lambda n, k, e: 3 * n + k + 2),
-    "rel-surj-s01": (True, lambda n, k, e: 3 * n + k - 2 - e),
-    "rel-iso-s01": (True, lambda n, k, e: 3 * n + k - 1 - e),
-    "rel-surj-s11": (True, lambda n, k, e: 3 * n + k - 3 - e),
-    "rel-iso-s11": (True, lambda n, k, e: 3 * n + k - e),
+    "abs-iso-s01": (False, 0),
+    "abs-surj": (True, 0),
+    "abs-iso": (False, 2),
+    "rel-surj-s01": (True, -2),
+    "rel-iso-s01": (True, -1),
+    "rel-surj-s11": (True, -3),
+    "rel-iso-s11": (True, 0),
 }
 
 TWISTED_MODES = tuple(sorted(_TWISTED_MODES))
@@ -62,11 +64,11 @@ def twisted_range(mode: str, n: int, k: int, g: int, lm: tuple[int, int] | None 
         raise ValueError(f"unknown mode {mode!r}; expected one of {TWISTED_MODES}")
     if min(n, k, g) < 0:
         raise ValueError("n, k, g must be >= 0")
-    needs_eps, rhs = _TWISTED_MODES[mode]
+    needs_eps, c = _TWISTED_MODES[mode]
     if needs_eps and lm is None:
         raise ValueError(f"mode {mode!r} needs the gluing (l, m)")
     e = 0 if lm is None else epsilon(*lm)
-    return 2 * g >= rhs(n, k, e)
+    return 2 * g >= 3 * n + k + c - (e if needs_eps else 0)
 
 
 @dataclass(frozen=True)
@@ -176,11 +178,11 @@ class ExceptionTuple:
     k: int
 
 
-# case -> (side, additive hypothesis constant c in 2g >= 3n + k + c)
+# case -> (side, the twisted_range mode whose hypothesis it audits)
 _CASES = {
-    "surj-s01": (2, -2),
-    "surj-s11": (1, -3),
-    "inj-s11": (1, 0),
+    "surj-s01": (2, "rel-surj-s01"),
+    "surj-s11": (1, "rel-surj-s11"),
+    "inj-s11": (1, "rel-iso-s11"),
 }
 
 EXCEPTION_CASES = tuple(sorted(_CASES))
@@ -237,22 +239,23 @@ def _required_orbit_sets_present(case: str, n: int, g: int) -> bool:
 def orbit_set_exceptions(case: str) -> list[ExceptionTuple]:
     """
     Brute-force re-derivation of the exception tuples for the given case:
-    parameter tuples satisfying the case's genus hypothesis whose orbit sets
-    nonetheless miss a required word.
+    parameter tuples satisfying the genus hypothesis of the case's
+    ``twisted_range`` mode whose orbit sets nonetheless miss a required word.
 
     Finite enumeration: a missing orbit forces ``g <= n + 1``, and combined
-    with the weakest hypothesis ``2g >= 3n + k - 4`` that bounds ``n <= 6``
-    and ``k <= 2g - 3n + 4``.
+    with the weakest hypothesis ``2g >= 3n + k - 4`` that bounds ``n <= 6``.
     """
     if case not in _CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {EXCEPTION_CASES}")
-    _, c = _CASES[case]
+    _, mode = _CASES[case]
     found = []
     for n in range(1, 7):
         for g in range(0, n + 2):
-            # per gluing, the k with 2g >= 3n + k + c - eps; the orbit sets
-            # do not depend on the gluing, so they are checked once
-            ks = {lm: range(2 * g - 3 * n - c + epsilon(*lm) + 1) for lm in GLUINGS}
+            # per gluing, the k that the mode's hypothesis admits: for n >= 1
+            # every mode's threshold is at least 3n + k - 4 >= k - 1, so none
+            # admits k > 2g + 1.  The orbit sets do not depend on the gluing,
+            # so they are checked once
+            ks = {lm: [k for k in range(2 * g + 2) if twisted_range(mode, n, k, g, lm)] for lm in GLUINGS}
             if any(ks.values()) and not _required_orbit_sets_present(case, n, g):
                 found += (ExceptionTuple(case, lm, n, g, k) for lm, r in ks.items() for k in r)
     return sorted(found)

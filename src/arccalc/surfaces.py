@@ -56,10 +56,6 @@ class ArcClass:
         if self.side not in SIDES:
             raise ValueError(f"side must be 1 or 2, got {self.side}")
 
-    @property
-    def arc_count(self) -> int:
-        return len(self.perm)
-
     def to_json(self) -> dict:
         return {"perm": list(self.perm), "side": self.side}
 

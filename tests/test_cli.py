@@ -40,9 +40,11 @@ class TestExitCodes:
         # stubbing a runner in-process
         from arccalc import cli
 
-        monkeypatch.setitem(
-            cli.RUNNERS, "exceptions", lambda args, parser: ({"rows": []}, ("case",), False)
-        )
+        def stub(args, parser):
+            return {"rows": []}, ("case",), False
+
+        help_, _, flags = cli.COMMANDS["exceptions"]
+        monkeypatch.setitem(cli.COMMANDS, "exceptions", (help_, stub, flags))
         assert cli.main(["exceptions", "--case", "inj-s11"]) == 1
 
     @pytest.mark.parametrize("failures_only", [False, True])
@@ -175,7 +177,7 @@ UNBOUNDED = {"--seed"}
 
 def _integer_domains():
     """(command, flag, its bound values, the values just past them) per bounded integer flag."""
-    for command, flags in cli.COMMAND_FLAGS.items():
+    for command, (_, _, flags) in cli.COMMANDS.items():
         for flag, kwargs in flags + cli.GLOBAL_FLAGS:
             kind = kwargs.get("type")
             if kind is int and "choices" in kwargs:
@@ -193,7 +195,7 @@ class Ran(Exception):
 
 class TestFlagDomains:
     def test_every_integer_flag_declares_its_domain(self):
-        for command, flags in cli.COMMAND_FLAGS.items():
+        for command, (_, _, flags) in cli.COMMANDS.items():
             for flag, kwargs in flags + cli.GLOBAL_FLAGS:
                 if kwargs.get("type") is int and "choices" not in kwargs:
                     assert flag in UNBOUNDED, (command, flag)
@@ -209,7 +211,8 @@ class TestFlagDomains:
             raise Ran(args)
 
         monkeypatch.delenv("ARCCALC_FORMAT", raising=False)
-        monkeypatch.setitem(cli.RUNNERS, command, runner)
+        help_, _, flags = cli.COMMANDS[command]
+        monkeypatch.setitem(cli.COMMANDS, command, (help_, runner, flags))
         for value in past:
             with pytest.raises(SystemExit) as exc:
                 cli.main([command, *VALID[command], flag, str(value)])

@@ -150,6 +150,15 @@ class TestCancellation:
             changed = SparseIntMatrix.from_entries(m.nrows, m.ncols, [(i, j, -v), *rest])
             assert not d1_follows_cancellation(page, p, changed)
 
+    def test_d1_check_rejects_extra_rows(self):
+        page = e1_skeleton(SurfaceType(3, 2), 1, 3)
+        m = d1_matrix(page, 3)
+        padded = SparseIntMatrix.from_entries(m.nrows + 5, m.ncols, m.entries())
+        assert not d1_follows_cancellation(page, 3, padded)
+        # an entry in an extra row is not a face of any target word
+        extra = SparseIntMatrix.from_entries(m.nrows + 5, m.ncols, [*m.entries(), (m.nrows + 2, 0, 1)])
+        assert not d1_follows_cancellation(page, 3, extra)
+
     def test_matches_d1_column(self):
         page = e1_skeleton(SurfaceType(6, 2), 1, 5)
         for p in range(2, 6):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from arccalc import ledger
 from arccalc.ledger import (
     EXPECTED_EXCEPTIONS,
     GLUINGS,
@@ -133,6 +134,17 @@ class TestExceptionLists:
         for case in EXCEPTION_CASES:
             orbit_set_exceptions(case)
         assert _neighborhood_boundary.cache_info().currsize == 0
+
+    def test_hypothesis_is_read_from_twisted_range(self, monkeypatch):
+        before = orbit_set_exceptions("surj-s01")
+
+        # rel-surj-s01 demands one more unit of 2g
+        def stricter(mode, n, k, g, lm=None):
+            return twisted_range(mode, n, k + (mode == "rel-surj-s01"), g, lm)
+
+        monkeypatch.setattr(ledger, "twisted_range", stricter)
+        after = orbit_set_exceptions("surj-s01")
+        assert set(after) < set(before)
 
     def test_unknown_case(self):
         with pytest.raises(ValueError):
