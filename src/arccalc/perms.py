@@ -10,9 +10,9 @@ A word may also be a byte string whose byte ``i`` is ``x(i)``.  The face
 calculus keeps the kind it is given: :func:`faces`, :func:`face` and
 :func:`hat` return byte strings for a ``bytes`` argument and tuples for any
 other integer sequence, with the same values either way.  Both kinds are
-computed on bytes, a face by one slice and one ``bytes.translate`` through a
-renumbering table, so a word of degree over 256, an entry outside
-``range(256)``, or a :func:`hat` argument of degree over 255 raises
+computed on bytes, a face by one ``bytes.translate`` that renumbers through a
+table and deletes the face's value, so a word of degree over 256, an entry
+outside ``range(256)``, or a :func:`hat` argument of degree over 255 raises
 ``ValueError`` rather than wrapping.  The supported degrees stop at 8.
 
 Composition convention: ``compose(a, b)`` applies ``b`` first, so
@@ -129,6 +129,8 @@ def rotation(k: int) -> Perm:
 _ID = bytes(range(256))
 # _RENUMBER[v] maps x to x - [x > v]: the values left when v is deleted
 _RENUMBER = [_ID[:v + 1] + _ID[v:255] for v in range(256)]
+# the one-byte strings, which CPython caches, so the list makes no new bytes
+_DELETE = [_ID[v:v + 1] for v in range(256)]
 # x to x + 1; 255 has no image and is rejected before the table is read
 _UP = _ID[1:] + b"\0"
 
@@ -161,6 +163,10 @@ def faces(a: Sequence[int]) -> list[Perm] | list[bytes]:
     position ``j`` and renumber, subtracting 1 from every remaining value
     that exceeds the deleted one.  Bytes in, bytes out; otherwise tuples.
 
+    One ``bytes.translate`` renumbers and deletes the value ``a[j]``, which
+    in a permutation word sits only at position ``j``; so a word that
+    repeats a value gets short faces, which ``face_matrix`` rejects.
+
     >>> faces((0, 2, 1))
     [(1, 0), (0, 1), (0, 1)]
     >>> faces(bytes((0, 2, 1)))
@@ -171,7 +177,7 @@ def faces(a: Sequence[int]) -> list[Perm] | list[bytes]:
     if len(a) > 256:
         raise ValueError(f"faces of degree {len(a)}: a byte word has degree at most 256")
     w = a if isinstance(a, bytes) else bytes(a)
-    out = [(w[:j] + w[j + 1:]).translate(_RENUMBER[v]) for j, v in enumerate(w)]
+    out = [w.translate(_RENUMBER[v], _DELETE[v]) for v in w]
     return out if w is a else [tuple(f) for f in out]
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perms import Perm, all_perms, as_perm, cycle_count, hat, inverse
+from .perms import _ID, Perm, all_perms, as_perm, cycle_count, hat
 
 SIDES = (1, 2)
 
@@ -55,6 +55,9 @@ class ArcClass:
         object.__setattr__(self, "perm", as_perm(self.perm))
         if self.side not in SIDES:
             raise ValueError(f"side must be 1 or 2, got {self.side}")
+        # hat takes side 1 one degree up, and a byte word stops at degree 256
+        if len(self.perm) > 254 + self.side:
+            raise ValueError(f"degree {len(self.perm)} is over {254 + self.side}, the limit on side {self.side}")
 
     def to_json(self) -> dict:
         return {"perm": list(self.perm), "side": self.side}
@@ -66,13 +69,14 @@ def boundary_count(perm: Perm, side: int) -> int:
     every call: for callers that read each word's count once, so that the
     cache of :func:`boundary_of_neighborhood` keeps only reread entries.
     """
-    # side 1 reads the arcs through hat, which prepends a fixed point; the
-    # count is that of rot . w^-1 . rot^-1 . w, whose entry at x is built
-    # from y = w(x) in one pass
-    w = hat(perm) if side == 1 else perm
+    # side 1 reads the arcs through hat, which prepends a fixed point.  The
+    # count is that of rot . w^-1 . rot^-1 . w, or of its conjugate by w,
+    # w . rot . w^-1 . rot^-1: the table maketrans(w, w rotated left) of
+    # w . rot . w^-1 applied to the word (k-1, 0, ..., k-2) of rot^-1
+    w = hat(bytes(perm)) if side == 1 else bytes(perm)
     k = len(w)
-    inv = inverse(w)
-    return cycle_count([(inv[(y - 1) % k] + 1) % k for y in w]) + side
+    conj = (_ID[k - 1:k] + _ID[:k - 1]).translate(bytes.maketrans(w, w[1:] + w[:1]))
+    return cycle_count(conj) + side
 
 
 _neighborhood_boundary = lru_cache(maxsize=None)(boundary_count)
@@ -215,9 +219,9 @@ def glue(op: str, s: SurfaceType) -> SurfaceType:
     """
     Apply one of the elementary boundary operations:
 
-    - ``"0,1"``: attach a pair of pants to one boundary circle,
+    - ``"0,1"``: attach a pair of pants to one boundary circle (needs r >= 1),
     - ``"1,-1"``: attach a pair of pants to two boundary circles (needs r >= 2),
-    - ``"1,0"``: the composite of the previous two,
+    - ``"1,0"``: the composite of the previous two (needs r >= 1),
     - ``"0,-1"``: cap a boundary circle with a disk (needs r >= 1),
     - ``"circle_cut"``: cut along a nonseparating circle (needs g >= 1).
 
@@ -233,6 +237,6 @@ def glue(op: str, s: SurfaceType) -> SurfaceType:
     dg, dr = _GLUE_DELTAS[op]
     if op == "1,-1" and s.r < 2:
         raise ValueError("gluing 1,-1 needs at least two boundary circles")
-    if op == "0,-1" and s.r < 1:
-        raise ValueError("gluing 0,-1 needs at least one boundary circle")
+    if s.r < 1:
+        raise ValueError(f"gluing {op} needs at least one boundary circle")
     return SurfaceType(s.g + dg, s.r + dr)

@@ -282,6 +282,23 @@ class TestInvariants:
         res = run("invariants", "--perm", "0,1,2", "--side", "1", "--ambient", "1,1")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("side, limit", [(1, 255), (2, 256)])
+    def test_byte_word_degree_limit(self, side, limit):
+        # side 1 reads the word through hat, one degree up; a byte word
+        # stops at degree 256
+        def word(n):
+            return ",".join(map(str, [*range(1, n), 0]))
+
+        res = run("invariants", "--perm", word(limit + 1), "--side", str(side))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        errors = [line for line in res.stderr.splitlines() if "error:" in line]
+        assert errors == [f"arccalc invariants: error: degree {limit + 1} is over {limit}, the limit on side {side}"]
+        res = run("invariants", "--perm", word(limit), "--side", str(side), "--format", "json")
+        assert res.returncode == 0, res.stderr
+        row = json.loads(res.stdout)["rows"][0]
+        assert row["neighborhood_boundary"] == row["trace_count"]
+
 
 def _pid_after_pause(task):
     # the last two tasks are the slow ones, as the top degree is in oracle-diff

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from functools import cache
@@ -68,6 +69,14 @@ class TestConstruction:
             face_matrix([(0, 2, 1)], [*targets, (0,)])
         with pytest.raises(ValueError):
             face_matrix([(0, 2, 2)], targets)
+
+    def test_a_column_that_is_not_a_permutation_is_named(self):
+        # a repeated value makes a short face, an entry from k on stays out
+        # of range in a face, and an entry over 255 makes no byte word
+        targets = [(0, 1), (1, 0)]
+        for bad in ((0, 2, 2), (0, 1, 3), (0, 1, 300)):
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                face_matrix([(0, 2, 1), bad], targets)
 
     def test_targets_that_are_not_permutations_raise(self):
         # every face is among the targets, so only the bad word can raise

@@ -192,6 +192,15 @@ class TestByteWords:
                     assert hat(a) == out((0, *(x + 1 for x in w)))
                     assert type(hat(a)) is out
 
+    @given(st.integers(2, 256).flatmap(lambda k: st.permutations(range(k)).map(tuple)))
+    @settings(deadline=None, max_examples=60)
+    def test_faces_match_the_reference_at_every_degree(self, w):
+        # every degree a byte word takes, so each renumber and delete table
+        # is read
+        expected = [reference_face(w, j) for j in range(len(w))]
+        assert faces(w) == expected
+        assert faces(bytes(w)) == [bytes(f) for f in expected]
+
     def test_other_sequences_give_tuples(self):
         for a in (bytearray((1, 0, 2)), range(3), memoryview(bytes((1, 0, 2)))):
             assert type(hat(a)) is tuple

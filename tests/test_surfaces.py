@@ -1,10 +1,12 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arccalc.perms import all_perms, compose, cycle_count, faces, hat, identity, inverse, rotation
 from arccalc.surfaces import (
     _neighborhood_boundary,
+    SIDES,
     ArcClass,
     SurfaceType,
     boundary_of_neighborhood,
@@ -72,6 +74,23 @@ class TestNeighborhoodBoundary:
                     rot = rotation(len(w))
                     word = compose(compose(rot, inverse(w)), compose(inverse(rot), w))
                     assert _neighborhood_boundary(perm, side) == cycle_count(word) + side
+
+    @given(
+        st.sampled_from(SIDES).flatmap(
+            lambda side: st.integers(1, 254 + side).flatmap(
+                lambda k: st.permutations(range(k)).map(lambda w: (tuple(w), side))
+            )
+        )
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_closed_form_matches_its_definition_at_every_degree(self, case):
+        # every degree a byte word takes on each side: hat raises side 1 by one
+        perm, side = case
+        w = hat(perm) if side == 1 else perm
+        rot = rotation(len(w))
+        expected = cycle_count(compose(compose(rot, inverse(w)), compose(inverse(rot), w))) + side
+        for kind in (tuple, list, bytes):
+            assert boundary_count(kind(perm), side) == expected
 
 
 class TestSimplexGenus:
@@ -241,9 +260,16 @@ class TestGlue:
         assert glue("circle_cut", s) == SurfaceType(1, 5)
 
     def test_composite_laws(self):
+        # the pants are glued along a boundary circle, so both sides of each
+        # law need r >= 1
         for g in range(0, 5):
-            for r in range(2, 6):
+            for r in range(0, 6):
                 s = SurfaceType(g, r)
+                if r == 0:
+                    for op in ("1,0", "0,1"):
+                        with pytest.raises(ValueError):
+                            glue(op, s)
+                    continue
                 assert glue("1,0", s) == glue("1,-1", glue("0,1", s))
                 assert glue("0,-1", glue("0,1", s)) == s
 
@@ -252,6 +278,10 @@ class TestGlue:
             glue("1,-1", SurfaceType(2, 1))
         with pytest.raises(ValueError):
             glue("0,-1", SurfaceType(2, 0))
+        with pytest.raises(ValueError):
+            glue("0,1", SurfaceType(1, 0))
+        with pytest.raises(ValueError):
+            glue("1,0", SurfaceType(1, 0))
         with pytest.raises(ValueError):
             glue("circle_cut", SurfaceType(0, 3))
         with pytest.raises(ValueError):
