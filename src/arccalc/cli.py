@@ -209,27 +209,29 @@ def run_e1(args, parser) -> tuple[dict, tuple[str, ...], bool]:
         page = e1page.e1_skeleton(args.ambient, args.side, args.max_p)
     except ValueError as exc:
         parser.error(str(exc))
-    rows = []
-    for p in range(1, page.max_p + 1):
-        for s in page.column(p):
-            rows.append(
-                {
-                    "p": p,
-                    "perm": ",".join(map(str, s.perm)),
-                    "genus": s.genus,
-                    "stabilizer_g": s.stabilizer.g,
-                    "stabilizer_r": s.stabilizer.r,
-                }
-            )
-    extra = {"rows": rows, "vanishing_bound": page.vanishing_bound}
+    extra = {"vanishing_bound": page.vanishing_bound}
     ok = True
     if args.with_d1:
+        # one matrix at a time, built, checked and serialised before the
+        # rows exist, so a matrix is never held beside another or the rows
         matrices = {}
         for p in range(2, page.max_p + 1):
             m = e1page.d1_matrix(page, p)
             ok = ok and e1page.d1_follows_cancellation(page, p, m)
             matrices[str(p)] = m.to_triples()
+            del m
         extra["d1"] = matrices
+    extra["rows"] = [
+        {
+            "p": p,
+            "perm": ",".join(map(str, s.perm)),
+            "genus": s.genus,
+            "stabilizer_g": s.stabilizer.g,
+            "stabilizer_r": s.stabilizer.r,
+        }
+        for p in range(1, page.max_p + 1)
+        for s in page.column(p)
+    ]
     return extra, ("p", "perm", "genus", "stabilizer_g", "stabilizer_r"), ok
 
 

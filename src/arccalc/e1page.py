@@ -8,9 +8,13 @@ only; no homology groups are computed here.  The first differential, with
 trivial coefficients, is the signed face-merge matrix; it is built by the
 same face-matrix builder as the boundary matrices of the realizability
 quotient complex, and is checked column by column against the twist
-cancellation rule of :func:`cancellation_report`.  Both sides take their
-faces from :func:`~arccalc.perms.faces`, so what the check tests on its own
-is the cancellation rule.  The faces have checks of their own: a
+cancellation rule of :func:`cancellation_report`.  The check makes one pass
+over the source words: each face the rule leaves must be a stored entry of
+the matrix with the rule's coefficient, and the matches, which land on
+distinct entries, must number all of the stored entries.  So it needs no
+second copy of the matrix.  Both sides take their faces from
+:func:`~arccalc.perms.faces`, so what the check tests on its own is the
+cancellation rule.  The faces have checks of their own: a
 delete-and-renumber referee in the tests, and the contraction identity of
 :mod:`arccalc.complexes`.
 """
@@ -21,11 +25,11 @@ from dataclasses import dataclass
 
 from .complexes import MAX_DEGREE_CAP, face_matrix, quotient_complex
 from .intmat import SparseIntMatrix
-from .perms import Perm, faces
+from .perms import _ID, Perm, faces
 from .surfaces import SurfaceType, _cut_surface, _genus, boundary_count, realizable_perms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Summand:
     perm: Perm
     genus: int
@@ -54,9 +58,13 @@ def e1_skeleton(ambient: SurfaceType, side: int, max_p: int) -> E1Page:
     Populate columns 1..``max_p`` with realizable words and their stabilizer
     labels.  The page converges to zero for ``p + q <= 2g - 2 + side``.
 
-    Each word's boundary count is computed once, uncached, and gives both its
-    simplex genus and its cut surface, by the arithmetic of
-    :func:`simplex_genus` and :func:`cut_surface`.
+    Each word's boundary count is computed here once, uncached, and gives
+    both its simplex genus and its cut surface, by the arithmetic of
+    :func:`simplex_genus` and :func:`cut_surface`.  For ``p > g - 1 + side``
+    the realizability filter of :func:`realizable_perms` has counted each
+    word once before.  In one column both depend on the count alone, so
+    they are worked out once per count, and summands with equal stabilizers
+    share one label.
 
     >>> page = e1_skeleton(SurfaceType(3, 2), 1, 2)
     >>> page.vanishing_bound
@@ -73,9 +81,12 @@ def e1_skeleton(ambient: SurfaceType, side: int, max_p: int) -> E1Page:
     columns = []
     for p in range(1, max_p + 1):
         col = []
+        by_count: dict[int, tuple[int, SurfaceType]] = {}
         for w in realizable_perms(p, side, ambient.g):
             nb = boundary_count(w, side)
-            col.append(Summand(w, _genus(w, side, nb), _cut_surface(ambient, w, side, nb)))
+            if nb not in by_count:
+                by_count[nb] = (_genus(w, side, nb), _cut_surface(ambient, w, side, nb))
+            col.append(Summand(w, *by_count[nb]))
         columns.append(tuple(col))
     return E1Page(ambient, side, tuple(columns), 2 * ambient.g - 2 + side)
 
@@ -102,15 +113,28 @@ def d1_follows_cancellation(page: E1Page, p: int, m: SparseIntMatrix) -> bool:
     column ``p``, holds exactly the signed faces that
     :func:`cancellation_report` leaves for its source word.  A matrix of
     another shape than columns ``p-1`` by ``p`` does not.
+
+    One pass over the source words: each face of a report must be a target
+    whose entry in the source's column is the report's coefficient.  The
+    faces in one report are distinct, so the matches are distinct stored
+    entries, and there is none besides them exactly when they number
+    ``m.nnz``.  Beside the matrix this holds an index of the targets and
+    one report at a time.
     """
-    targets = [s.perm for s in page.column(p - 1)]
+    targets = page.column(p - 1)
     sources = page.column(p)
     if (m.nrows, m.ncols) != (len(targets), len(sources)):
         return False
-    cols: list[dict[Perm, int]] = [{} for _ in range(m.ncols)]
-    for i, j, v in m.entries():
-        cols[j][targets[i]] = v
-    return all(col == cancellation_report(s.perm) for col, s in zip(cols, sources))
+    index = {t.perm: i for i, t in enumerate(targets)}
+    rows = m._rows
+    found = 0
+    for j, s in enumerate(sources):
+        for face, c in cancellation_report(s.perm).items():
+            i = index.get(face)
+            if i is None or rows[i].get(j) != c:
+                return False
+            found += 1
+    return found == m.nnz
 
 
 def cancellation_report(word: Perm) -> dict[Perm, int]:
@@ -121,14 +145,23 @@ def cancellation_report(word: Perm) -> dict[Perm, int]:
     Two successive faces are equal exactly when the word carries adjacent
     values at adjacent positions (in either order); such a pair enters with
     opposite signs and cancels.  The survivors must equal the nonzero entries
-    of the word's first-differential column.
+    of the word's first-differential column.  A word that is not a
+    permutation of ``0..k-1`` for some ``k >= 1`` raises ``ValueError``.
 
     >>> cancellation_report((0, 2, 1))
     {(1, 0): 1}
     >>> sorted(cancellation_report((0, 3, 1, 2)).items())
     [((0, 1, 2), -1), ((2, 0, 1), 1)]
     """
-    k = len(word)
+    try:
+        w = bytes(word)
+    except ValueError:
+        w = b""  # an entry outside range(256)
+    k = len(w)
+    # k letters that leave none of 0..k-1 out are a permutation; one C-level
+    # call, since the d1 check calls this for every source word
+    if not k or _ID[:k].translate(None, w):
+        raise ValueError(f"{tuple(word)} is not a permutation word")
     if k < 2:
         return {}
     alive = [True] * k
@@ -141,7 +174,7 @@ def cancellation_report(word: Perm) -> dict[Perm, int]:
             j += 1
     # summed on byte words; only the surviving faces become tuples
     acc: dict[bytes, int] = {}
-    for j, f in enumerate(faces(bytes(word))):
+    for j, f in enumerate(faces(w)):
         if alive[j]:
             acc[f] = acc.get(f, 0) + (-1) ** j
     return {tuple(f): c for f, c in acc.items() if c}

@@ -25,7 +25,7 @@ from .perms import _ID, Perm, all_perms, as_perm, cycle_count, hat
 SIDES = (1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceType:
     """Genus ``g`` and boundary count ``r`` of a compact oriented surface."""
 

@@ -421,6 +421,29 @@ class TestSuites:
         for p in ("2", "3", "4"):
             assert data["d1"][p] == d1_matrix(page, int(p)).to_triples()
 
+    def test_e1_a_failed_d1_check_fails_the_report(self, monkeypatch, capsys):
+        # a cancellation rule that loses one term of one word, as a broken
+        # rule would: the word's d1 column keeps it
+        from arccalc import e1page
+        from arccalc.surfaces import SurfaceType
+
+        page = e1page.e1_skeleton(SurfaceType(3, 2), 1, 5)
+        report = e1page.cancellation_report
+        word = next(s.perm for s in page.column(5) if report(s.perm))
+
+        def broken(w):
+            out = report(w)
+            if w == word:
+                out.popitem()
+            return out
+
+        monkeypatch.setattr(e1page, "cancellation_report", broken)
+        argv = ["e1", "--ambient", "3,2", "--side", "1", "--max-p", "5", "--with-d1", "--format", "json"]
+        assert cli.main(argv) == 1
+        out = capsys.readouterr().out
+        assert '"ok": false' in out
+        assert set(json.loads(out)["d1"]) == {"2", "3", "4", "5"}
+
     def test_ledger_csv(self):
         res = run("ledger", "--g-max", "6", "--k-max", "3", "--format", "csv")
         assert res.returncode == 0

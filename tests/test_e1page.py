@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import pickle
+import tracemalloc
+
 import pytest
 
 from arccalc import e1page
@@ -20,11 +25,24 @@ from arccalc.surfaces import (
 )
 
 
-def column_of(page, p, word):
-    m = d1_matrix(page, p)
-    col = [s.perm for s in page.column(p)].index(word)
+def columns_of(page, p, m):
+    """Each column of ``m`` as a ``{target word: value}`` dict."""
     targets = [s.perm for s in page.column(p - 1)]
-    return {targets[i]: v for i, j, v in m.entries() if j == col}
+    cols = [{} for _ in range(m.ncols)]
+    for i, j, v in m.entries():
+        cols[j][targets[i]] = v
+    return cols
+
+
+def column_of(page, p, word):
+    col = [s.perm for s in page.column(p)].index(word)
+    return columns_of(page, p, d1_matrix(page, p))[col]
+
+
+def referee(page, p, m):
+    """The d1 check by whole columns: each column dict equals its word's report."""
+    reports = [e1page.cancellation_report(s.perm) for s in page.column(p)]
+    return columns_of(page, p, m) == reports
 
 
 class TestSkeleton:
@@ -63,6 +81,20 @@ class TestSkeleton:
                 for p in range(1, 6):
                     for s in page.column(p):
                         assert s.stabilizer.euler_char == amb.euler_char + p
+
+    def test_equal_labels_are_one_object(self):
+        page = e1_skeleton(SurfaceType(4, 2), 2, 6)
+        labels = [s.stabilizer for p in range(1, 7) for s in page.column(p)]
+        assert len({id(x) for x in labels}) == len(set(labels)) < len(labels)
+
+    def test_summands_are_frozen_and_round_trip(self):
+        s = e1_skeleton(SurfaceType(4, 2), 2, 3).column(3)[1]
+        for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert copied == s and hash(copied) == hash(s)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.genus = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.stabilizer.g = 0
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -141,6 +173,13 @@ class TestCancellation:
     def test_single_arc_has_no_faces(self):
         assert cancellation_report((0,)) == {}
 
+    @pytest.mark.parametrize("word", [(0, 5, 1), (0, 0), (2, 1, 0, 0), ()])
+    def test_a_word_that_is_not_a_permutation_raises(self, word):
+        # (0, 5, 1) had faces that are not words, and the others had no
+        # faces at all, which an empty column passed vacuously
+        with pytest.raises(ValueError, match="not a permutation word"):
+            cancellation_report(word)
+
     def test_d1_check_catches_a_changed_entry(self):
         page = e1_skeleton(SurfaceType(3, 2), 1, 4)
         for p in (3, 4):
@@ -159,12 +198,84 @@ class TestCancellation:
         extra = SparseIntMatrix.from_entries(m.nrows + 5, m.ncols, [*m.entries(), (m.nrows + 2, 0, 1)])
         assert not d1_follows_cancellation(page, 3, extra)
 
+    def test_d1_check_agrees_with_the_column_referee(self):
+        page = e1_skeleton(SurfaceType(4, 2), 2, 7)
+        for p in range(2, 8):
+            m = d1_matrix(page, p)
+            assert d1_follows_cancellation(page, p, m)
+            assert referee(page, p, m)
+
     def test_matches_d1_column(self):
         page = e1_skeleton(SurfaceType(6, 2), 1, 5)
         for p in range(2, 6):
             for s in page.column(p):
                 col = column_of(page, p, s.perm)
                 assert col == cancellation_report(s.perm)
+
+
+class TestStreamedCheck:
+    """Changes to a d1 matrix that a check of one pass and a count must catch."""
+
+    # column 4 of this page is a proper subset of S_4
+    P = 5
+
+    @pytest.fixture
+    def page(self):
+        return e1_skeleton(SurfaceType(3, 2), 1, self.P)
+
+    @staticmethod
+    def free_column(m, i):
+        """A column without an entry in row ``i``."""
+        return next(j for j in range(m.ncols) if j not in m._rows[i])
+
+    def rejects(self, page, m):
+        assert not d1_follows_cancellation(page, self.P, m)
+        assert not referee(page, self.P, m)
+
+    def test_a_dropped_entry(self, page):
+        m = d1_matrix(page, self.P)
+        _, *rest = m.entries()
+        self.rejects(page, SparseIntMatrix.from_entries(m.nrows, m.ncols, rest))
+
+    def test_an_extra_entry_in_a_row_the_column_touches(self, page):
+        m = d1_matrix(page, self.P)
+        (i, j, v), *rest = m.entries()
+        extra = (i, self.free_column(m, i), 1)
+        self.rejects(page, SparseIntMatrix.from_entries(m.nrows, m.ncols, [(i, j, v), *rest, extra]))
+
+    def test_an_entry_moved_to_another_column(self, page):
+        m = d1_matrix(page, self.P)
+        (i, j, v), *rest = m.entries()
+        moved = SparseIntMatrix.from_entries(m.nrows, m.ncols, [*rest, (i, self.free_column(m, i), v)])
+        assert moved.nnz == m.nnz
+        self.rejects(page, moved)
+
+    def test_a_reported_face_outside_the_targets(self, page, monkeypatch):
+        targets = {s.perm for s in page.column(self.P - 1)}
+        outside = next(w for w in all_perms(self.P - 1) if w not in targets)
+        report = e1page.cancellation_report
+        monkeypatch.setattr(e1page, "cancellation_report", lambda w: {**report(w), outside: 1})
+        self.rejects(page, d1_matrix(page, self.P))
+
+
+def test_d1_check_holds_a_fraction_of_the_matrix():
+    # the check streams over the source words; a transpose of the matrix
+    # into column dicts held 1.22 times the matrix
+    page = e1_skeleton(SurfaceType(4, 2), 2, 7)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        m = d1_matrix(page, 7)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert d1_follows_cancellation(page, 7, m)
+        scratch = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert scratch <= held / 4, (scratch, held)
 
 
 def test_column_genus_recorded():
