@@ -8,10 +8,14 @@ Each flag states its domain once, there or in ``GLOBAL_FLAGS``, and argparse
 checks it; a runner checks only the rules that join two flags, through its
 command's own parser, so every usage error of a command prints that
 command's usage.  Output is deterministic for a fixed configuration.
-Reports are written as they are rendered, JSON a block of encoder chunks at
-a time and CSV and table a line at a time, so no whole-report string is
-held.  Reports and ``--describe`` go to stdout through one write, and a
-reader that closes the pipe early ends either quietly.
+A report's rows may be any iterable that can be read again: ``e1`` and
+``ledger`` make theirs afresh on each read, so neither holds its rows.
+Reports are written as they are rendered, JSON one top-level key at a time
+and its rows a batch at a time, CSV a line at a time, and a table in two
+reads of its rows, one for the column widths and one for the lines.  So no
+report holds its rows or its whole text.  Reports and ``--describe`` go to
+stdout through one write, and a reader that closes the pipe early ends
+either quietly.
 """
 
 from __future__ import annotations
@@ -40,9 +44,19 @@ from .surfaces import (
 FORMATS = ("json", "csv", "table")
 FORMAT_ENV = "ARCCALC_FORMAT"
 
-# encoder chunks joined per write: one write per chunk is slow, and one write
-# of the joined report holds the chunk list and the whole string at once
-JSON_BLOCK = 8192
+# rows encoded per call, or encoder chunks joined per write, in JSON: one
+# write per chunk is slow, and one call holds about 1 KB of chunks per row
+JSON_BLOCK = 32
+
+
+class _Rows:
+    """Report rows that ``make()`` makes afresh on each read, so none are held."""
+
+    def __init__(self, make: Callable[[], Iterator[dict]]) -> None:
+        self.make = make
+
+    def __iter__(self) -> Iterator[dict]:
+        return self.make()
 
 
 def _at_least(low: int):
@@ -70,7 +84,7 @@ def _surface(text: str) -> SurfaceType:
 GLOBAL_FLAGS: list[tuple[str, dict]] = [
     ("--format", {"choices": FORMATS, "default": None, "help": f"output format (default from ${FORMAT_ENV} or table)"}),
     ("--output", {"default": None, "help": "write the report to this path instead of stdout"}),
-    ("--threads", {"type": _at_least(1), "default": 1, "help": "worker count for exhaustive sweeps (>= 1)"}),
+    ("--threads", {"type": _at_least(1), "default": 1, "help": "worker count (>= 1); only oracle-diff reads it, and every other command runs serially"}),
     ("--seed", {"type": int, "default": 0, "help": "seed for sampled checks"}),
 ]
 
@@ -212,8 +226,8 @@ def run_e1(args, parser) -> tuple[dict, tuple[str, ...], bool]:
     extra = {"vanishing_bound": page.vanishing_bound}
     ok = True
     if args.with_d1:
-        # one matrix at a time, built, checked and serialised before the
-        # rows exist, so a matrix is never held beside another or the rows
+        # one matrix at a time, built, checked and serialised before output
+        # starts, so a matrix is never held beside another
         matrices = {}
         for p in range(2, page.max_p + 1):
             m = e1page.d1_matrix(page, p)
@@ -221,35 +235,39 @@ def run_e1(args, parser) -> tuple[dict, tuple[str, ...], bool]:
             matrices[str(p)] = m.to_triples()
             del m
         extra["d1"] = matrices
-    extra["rows"] = [
-        {
-            "p": p,
-            "perm": ",".join(map(str, s.perm)),
-            "genus": s.genus,
-            "stabilizer_g": s.stabilizer.g,
-            "stabilizer_r": s.stabilizer.r,
-        }
-        for p in range(1, page.max_p + 1)
-        for s in page.column(p)
-    ]
+
+    def rows() -> Iterator[dict]:
+        for p in range(1, page.max_p + 1):
+            for s in page.column(p):
+                yield {
+                    "p": p,
+                    "perm": ",".join(map(str, s.perm)),
+                    "genus": s.genus,
+                    "stabilizer_g": s.stabilizer.g,
+                    "stabilizer_r": s.stabilizer.r,
+                }
+
+    extra["rows"] = _Rows(rows)
     return extra, ("p", "perm", "genus", "stabilizer_g", "stabilizer_r"), ok
 
 
 def run_ledger(args, parser) -> tuple[dict, tuple[str, ...], bool]:
-    rows = ledger.main_theorem_ledger(args.g_max, args.k_max)
-    total, ok = len(rows), all(o.holds for o in rows)
-    if args.failures_only:
-        rows = [o for o in rows if not o.holds]
-    # each obligation is replaced by its row in place, so the obligations
-    # and their rows are never both held in full
-    for i, o in enumerate(rows):
-        rows[i] = {
-            "claim": o.claim,
-            "params": ";".join(f"{k}={v}" for k, v in sorted(o.params.items())),
-            "inequality": o.inequality,
-            "holds": o.holds,
-        }
-    return {"rows": rows, "total": total}, ("claim", "params", "inequality", "holds"), ok
+    obligations = ledger.main_theorem_ledger(args.g_max, args.k_max)
+    ok = all(o.holds for o in obligations)
+
+    # each row is made from its obligation as the report is written, so the
+    # obligations are held but their rows never are
+    def rows() -> Iterator[dict]:
+        for o in obligations:
+            if not (args.failures_only and o.holds):
+                yield {
+                    "claim": o.claim,
+                    "params": ";".join(f"{k}={v}" for k, v in sorted(o.params.items())),
+                    "inequality": o.inequality,
+                    "holds": o.holds,
+                }
+
+    return {"rows": _Rows(rows), "total": len(obligations)}, ("claim", "params", "inequality", "holds"), ok
 
 
 def run_exceptions(args, parser) -> tuple[dict, tuple[str, ...], bool]:
@@ -299,15 +317,40 @@ COMMANDS: dict[str, tuple[str, Callable, list[tuple[str, dict]]]] = {
 
 
 def _json_blocks(report: dict) -> Iterator[str]:
-    """The text of ``json.dumps(report, sort_keys=True, indent=2)`` and a newline, in blocks."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
-    while block := "".join(islice(chunks, JSON_BLOCK)):
-        yield block
-    yield "\n"
+    """
+    The text of ``json.dumps(report, sort_keys=True, indent=2)`` and a newline,
+    in blocks: one top-level key at a time, and its rows a batch at a time.
+    """
+    encoder = json.JSONEncoder(sort_keys=True, indent=2)
+    # every value is written one level in, so each newline in its text shifts
+    # by two spaces; an encoded string holds no raw newline of its own
+    head = "{"
+    for key in sorted(report):
+        yield f"{head}\n  {encoder.encode(key)}: "
+        head = ","
+        if key == "rows":
+            # each batch's list text without its brackets; the brackets and
+            # commas between batches are written here
+            rows, sep = iter(report[key]), "["
+            while batch := list(islice(rows, JSON_BLOCK)):
+                yield sep + encoder.encode(batch)[1:-2].replace("\n", "\n  ")
+                sep = ","
+            yield "[]" if sep == "[" else "\n  ]"
+        else:
+            # each chunk is shifted before it is joined: shifting the joined
+            # block copies it, and those copies raised the e1 peak by 2 MB
+            chunks = (c.replace("\n", "\n  ") for c in encoder.iterencode(report[key]))
+            while block := "".join(islice(chunks, JSON_BLOCK)):
+                yield block
+    yield "{}\n" if head == "{" else "\n}\n"
 
 
 def _render(report: dict, columns: tuple[str, ...], fmt: str) -> Iterator[str]:
-    """The report's text: JSON in blocks, CSV and table one line at a time."""
+    """
+    The report's text: JSON in blocks, CSV and table one line at a time.  A
+    table reads its rows twice, once for the column widths and once for the
+    lines.
+    """
     if fmt == "json":
         yield from _json_blocks(report)
         return
@@ -323,7 +366,9 @@ def _render(report: dict, columns: tuple[str, ...], fmt: str) -> Iterator[str]:
         for r in rows:
             yield line.writerow([r.get(c, "") for c in columns])
         return
-    widths = [max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c) for c in columns]
+    widths = [len(c) for c in columns]
+    for r in rows:
+        widths = [max(w, len(str(r.get(c, "")))) for c, w in zip(columns, widths)]
     yield "  ".join(c.ljust(w) for c, w in zip(columns, widths)) + "\n"
     for r in rows:
         yield "  ".join(str(r.get(c, "")).ljust(w) for c, w in zip(columns, widths)) + "\n"

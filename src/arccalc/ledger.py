@@ -71,7 +71,7 @@ def twisted_range(mode: str, n: int, k: int, g: int, lm: tuple[int, int] | None 
     return 2 * g >= 3 * n + k + c - (e if needs_eps else 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Obligation:
     claim: str
     params: dict = field(compare=False)
@@ -89,23 +89,26 @@ def main_theorem_ledger(g_max: int, k_max: int) -> list[Obligation]:
     all homology degrees ``1 <= k <= k_max`` and genera ``g <= g_max`` in
     the claimed ranges.  Degree 0 is vacuous and contributes nothing.
 
-    Three branches, by the hypothesis satisfied at ``(g, k)``:
-    boundary-add surjectivity (``2g >= 3k``), genus-raise surjectivity
-    (``2g >= 3k - 1``), genus-raise injectivity (``2g >= 3k + 2``).  Each
-    branch needs its two low-column differentials covered by the named
-    stabilizer maps one induction step down, plus, in higher columns, a
-    cut-surface genus large enough for the two-row exactness argument.
+    Three branches, by the hypothesis satisfied at ``(g, k)``, each read from
+    :func:`twisted_range` at coefficient degree 0: boundary-add surjectivity
+    (``abs-surj`` with the gluing ``(0, 1)``, a pair of pants attached to one
+    boundary circle: ``2g >= 3k``), genus-raise surjectivity (``abs-surj``
+    with ``(1, -1)``, a pair of pants attached to two: ``2g >= 3k - 1``) and
+    genus-raise injectivity (``abs-iso``: ``2g >= 3k + 2``).  Each branch
+    needs its two low-column differentials covered by the named stabilizer
+    maps one induction step down, plus, in higher columns, a cut-surface
+    genus large enough for the two-row exactness argument.
     """
     if g_max < 1 or k_max < 1:
         raise ValueError("grid bounds must be >= 1")
     out: list[Obligation] = []
     for k in range(1, k_max + 1):
         for g in range(0, g_max + 1):
-            if 2 * g >= 3 * k:
+            if twisted_range("abs-surj", k, 0, g, (0, 1)):
                 out.extend(_boundary_add_branch(g, k))
-            if 2 * g >= 3 * k - 1:
+            if twisted_range("abs-surj", k, 0, g, (1, -1)):
                 out.extend(_genus_raise_surj_branch(g, k))
-            if 2 * g >= 3 * k + 2:
+            if twisted_range("abs-iso", k, 0, g):
                 out.extend(_genus_raise_inj_branch(g, k))
     return out
 

@@ -32,14 +32,15 @@ Perm = tuple[int, ...]
 def is_perm(word: Sequence[int]) -> bool:
     """
     Check that ``word`` is a permutation of ``{0, ..., n-1}`` with ``n = len(word)``.
+    A bool is not a letter, though it is an int.
 
-    >>> [is_perm(w) for w in [(0,), (1, 2, 0), (0, 0, 2), (3, 1)]]
-    [True, True, False, False]
+    >>> [is_perm(w) for w in [(0,), (1, 2, 0), (0, 0, 2), (3, 1), (True, False)]]
+    [True, True, False, False, False]
     """
     n = len(word)
     seen = [False] * n
     for x in word:
-        if not isinstance(x, int) or not 0 <= x < n or seen[x]:
+        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n or seen[x]:
             return False
         seen[x] = True
     return True

@@ -1,12 +1,15 @@
 import csv
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from arccalc import cli
 
@@ -535,6 +538,44 @@ class TestOutputContract:
             "a   b\n", "1   x\n", "22   \n", "ok: True  (total=2)\n",
         ]
 
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_e1_holds_no_rows(self, fmt, monkeypatch, tmp_path):
+        # the report is written while its rows are made, so rendering it needs
+        # a small part of what the page holds, beyond what any report needs
+        from arccalc import e1page, surfaces
+
+        skeleton, seen = e1page.e1_skeleton, {}
+
+        def measured(*args):
+            # collected, so that garbage made or freed here is not the page's
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            page = skeleton(*args)
+            gc.collect()
+            seen["base"] = tracemalloc.get_traced_memory()[0]
+            seen["page"] = seen["base"] - before
+            tracemalloc.reset_peak()
+            return page
+
+        def above_page(max_p: int) -> int:
+            # a word list cached earlier would not count as the page's own
+            surfaces.realizable_perms.cache_clear()
+            argv = ["e1", "--ambient", "4,2", "--side", "2", "--max-p", str(max_p), "--format", fmt]
+            tracemalloc.start()
+            try:
+                code = cli.main(argv + ["--output", str(tmp_path / "report")])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return peak - seen["base"]
+
+        monkeypatch.setattr(e1page, "e1_skeleton", measured)
+        # what a one-column report needs: the csv writer alone keeps a 128 KB
+        # record buffer, about 0.15 of the degree-7 page
+        fixed = above_page(1)
+        assert (above_page(7) - fixed) / seen["page"] <= 0.25
+
     @pytest.mark.parametrize("fmt", ["table", "csv"])
     def test_line_formats_output_file_equals_stdout(self, fmt, tmp_path):
         args = ("ledger", "--g-max", "6", "--k-max", "3", "--format", fmt)
@@ -560,3 +601,52 @@ class TestOutputContract:
         assert described["exit_codes"] == {
             "pass": 0, "check_failure": 1, "usage_error": 2,
         }
+
+
+# a report's values: text that JSON escapes, nested values and a "rows" key
+# below the top level, which the renderer must not read as the rows
+_TEXT = st.text(st.sampled_from('ab "\\\n\té\u2028\U0001d11e'), max_size=6) | st.sampled_from(["rows", '"rows": [', ""])
+_LEAF = st.none() | st.booleans() | st.integers(-(10**20), 10**20) | st.floats(allow_nan=False) | _TEXT
+_VALUE = st.recursive(
+    _LEAF,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(["rows", "a", "é"]), kids, max_size=3),
+    max_leaves=6,
+)
+_COLUMNS = ("p", "perm", "rows")
+# a row may miss a column, or hold a key no column names
+_ROW = st.dictionaries(st.sampled_from(_COLUMNS + ("other",)), _VALUE, max_size=4)
+# zero rows, one, and counts on each side of one and two batch boundaries
+_COUNTS = [0, 1, 2, cli.JSON_BLOCK - 1, cli.JSON_BLOCK, cli.JSON_BLOCK + 1, 2 * cli.JSON_BLOCK + 1]
+
+
+@st.composite
+def _reports(draw) -> dict:
+    """A report of a few distinct rows repeated to a count, beside other keys."""
+    distinct = draw(st.lists(_ROW, min_size=1, max_size=4))
+    count = draw(st.sampled_from(_COUNTS))
+    report = draw(st.dictionaries(st.sampled_from(["a", "d1", "total", "zeta"]), _VALUE, max_size=3))
+    report.update(rows=[distinct[i % len(distinct)] for i in range(count)], command="c", ok=draw(st.booleans()))
+    return report
+
+
+class TestStreamedRender:
+    @settings(deadline=None, max_examples=60)
+    @given(report=_reports(), fmt=st.sampled_from(cli.FORMATS))
+    @example(report={"rows": [], "command": "c", "ok": True}, fmt="json")
+    @example(report={"rows": [{"p": "a\nb", "rows": {"rows": ['"', "\\"]}}], "command": "c", "ok": False}, fmt="table")
+    def test_streamed_rows_render_as_the_materialised_list(self, report, fmt):
+        rows = report["rows"]
+        # made afresh on each read, as the e1 and ledger runners make theirs
+        streamed = dict(report, rows=cli._Rows(lambda: (dict(r) for r in rows)))
+        text = "".join(cli._render(streamed, _COLUMNS, fmt))
+        assert text == "".join(cli._render(report, _COLUMNS, fmt))
+        if fmt == "json":
+            assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        elif fmt == "table":
+            # each column as wide as its widest cell, the header included
+            widths = [max(len(c), *(len(str(r.get(c, ""))) for r in rows)) if rows else len(c) for c in _COLUMNS]
+            assert text.startswith("  ".join(c.ljust(w) for c, w in zip(_COLUMNS, widths)) + "\n")
+
+    def test_describe_is_one_dumps(self):
+        text = "".join(cli._json_blocks(cli.describe()))
+        assert text == json.dumps(cli.describe(), sort_keys=True, indent=2) + "\n"

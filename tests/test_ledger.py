@@ -102,6 +102,32 @@ class TestMainTheoremLedger:
         with pytest.raises(ValueError):
             main_theorem_ledger(0, 5)
 
+    @pytest.mark.parametrize(
+        "eps, iso_c, branch",
+        [
+            # boundary-add surjectivity asks 2g >= 3k - 1
+            pytest.param({(0, 1): 1, (1, -1): 1}, 2, "boundary-add-surj", id="boundary-add-surj"),
+            # genus-raise surjectivity asks 2g >= 3k - 2
+            pytest.param({(1, -1): 2}, 2, "genus-raise-surj", id="genus-raise-surj"),
+            # genus-raise injectivity asks 2g >= 3k + 1
+            pytest.param({(1, -1): 1}, 1, "genus-raise-inj", id="genus-raise-inj"),
+        ],
+    )
+    def test_each_branch_hypothesis_is_read_from_twisted_range(self, monkeypatch, eps, iso_c, branch):
+        def rows(obligations):
+            return [(o.claim, sorted(o.params.items()), o.inequality, o.holds) for o in obligations]
+
+        before = rows(main_theorem_ledger(10, 5))
+        monkeypatch.setattr(ledger, "epsilon", lambda l, m: eps.get((l, m), 0))
+        monkeypatch.setitem(ledger._TWISTED_MODES, "abs-iso", (False, iso_c))
+        after = rows(main_theorem_ledger(10, 5))
+        # one threshold one unit lower adds obligations to its branch alone,
+        # and some of them fail: the paper's constant is the least that holds
+        added = [r for r in after if r not in before]
+        assert added and {dict(params)["branch"] for _, params, _, _ in added} == {branch}
+        assert [r for r in after if r in before] == before
+        assert not all(holds for *_, holds in added)
+
 
 class TestExceptionLists:
     def test_all_cases_match_expected(self):

@@ -52,6 +52,13 @@ class TestBasics:
         assert is_perm((0,)) and is_perm((1, 2, 0))
         assert not is_perm((0, 0, 2)) and not is_perm((3, 1))
 
+    @pytest.mark.parametrize("word", [(True, False), (False,), (0, True), (1, False, 2)])
+    def test_a_bool_is_not_a_letter(self, word):
+        # a bool is an int equal to 0 or 1, but not a letter of a word
+        assert not is_perm(word)
+        with pytest.raises(ValueError):
+            as_perm(word)
+
     def test_as_perm_rejects(self):
         with pytest.raises(ValueError):
             as_perm((1, 1))

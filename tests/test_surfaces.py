@@ -45,6 +45,15 @@ class TestTypes:
     def test_json(self):
         assert ArcClass((1, 0), 2).to_json() == {"perm": [1, 0], "side": 2}
 
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_bool_letters_are_rejected(self, side):
+        # kept, they would make an arc class equal to ArcClass((1, 0), side)
+        # whose to_json writes [true, false]
+        with pytest.raises(ValueError, match="not a permutation word"):
+            ArcClass((True, False), side)
+        with pytest.raises(ValueError, match="not a permutation word"):
+            ArcClass((0, True), side)
+
 
 class TestNeighborhoodBoundary:
     def test_anchor_values(self):
