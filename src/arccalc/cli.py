@@ -8,14 +8,14 @@ Each flag states its domain once, there or in ``GLOBAL_FLAGS``, and argparse
 checks it; a runner checks only the rules that join two flags, through its
 command's own parser, so every usage error of a command prints that
 command's usage.  Output is deterministic for a fixed configuration.
-A report's rows may be any iterable that can be read again: ``e1`` and
-``ledger`` make theirs afresh on each read, so neither holds its rows.
-Reports are written as they are rendered, JSON one top-level key at a time
-and its rows a batch at a time, CSV a line at a time, and a table in two
-reads of its rows, one for the column widths and one for the lines.  So no
-report holds its rows or its whole text.  Reports and ``--describe`` go to
-stdout through one write, and a reader that closes the pipe early ends
-either quietly.
+A report's rows may be a list or a ``_Rows``, which ``e1`` and ``ledger``
+use to make theirs afresh on each read, so neither holds its rows.
+Reports are written as they are rendered: JSON by one pass of the stdlib
+encoder over the whole report, rows included, a block of its chunks at a
+time; CSV a line at a time; and a table in two reads of its rows, one for
+the column widths and one for the lines.  So no report holds its rows or
+its whole text.  Reports and ``--describe`` go to stdout through one write,
+and a reader that closes the pipe early ends either quietly.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from itertools import islice
 from multiprocessing import get_context
 from types import SimpleNamespace
@@ -38,25 +39,36 @@ from .surfaces import (
     boundary_count,
     boundary_of_neighborhood,
     cut_surface,
+    genus_counts,
     simplex_genus,
 )
 
 FORMATS = ("json", "csv", "table")
 FORMAT_ENV = "ARCCALC_FORMAT"
 
-# rows encoded per call, or encoder chunks joined per write, in JSON: one
-# write per chunk is slow, and one call holds about 1 KB of chunks per row
-JSON_BLOCK = 32
+# JSON encoder chunks joined per write: one write per chunk is slow, and a
+# block is held whole while it is joined and written
+JSON_BLOCK = 512
 
 
-class _Rows:
-    """Report rows that ``make()`` makes afresh on each read, so none are held."""
+class _Rows(list):
+    """
+    Report rows that ``make()`` makes afresh on each read, so none are held.
+    A ``list`` to the JSON encoder, whose pure-Python path (``iterencode``'s)
+    tests ``not rows`` and reads them by ``for``.  The list itself is empty,
+    so ``len`` raises rather than read 0.
+    """
+
+    __len__ = None
 
     def __init__(self, make: Callable[[], Iterator[dict]]) -> None:
         self.make = make
 
     def __iter__(self) -> Iterator[dict]:
         return self.make()
+
+    def __bool__(self) -> bool:
+        return next(self.make(), None) is not None
 
 
 def _at_least(low: int):
@@ -122,26 +134,31 @@ def describe() -> dict:
     }
 
 
+_ORACLE_COLUMNS = ("degree", "side", "perm", "formula", "trace")
+
+
 def _oracle_block(task: tuple[int, int]) -> tuple[int, list[dict]]:
-    """The number of words of one degree and side checked, and the mismatches."""
+    """
+    The number of words of one degree and side checked, and the mismatches:
+    each word whose two counts differ, then each simplex genus whose tally of
+    traced words is not its ``genus_counts``, as a missed or repeated word makes.
+    """
     degree, side = task
     checked = 0
     rows = []
+    tally = Counter()
     for w in all_perms(degree):
         checked += 1
         # each word is counted once: the uncached count fills no cache
         formula = boundary_count(w, side)
         trace = oracle_boundary_count(w, side)
+        tally[(degree + 2 - trace) // 2] += 1
         if formula != trace:
-            rows.append(
-                {
-                    "degree": degree,
-                    "side": side,
-                    "perm": ",".join(map(str, w)),
-                    "formula": formula,
-                    "trace": trace,
-                }
-            )
+            rows.append(dict(zip(_ORACLE_COLUMNS, (degree, side, ",".join(map(str, w)), formula, trace))))
+    closed = dict(enumerate(genus_counts(degree, side)))
+    for s in sorted(closed.keys() | tally.keys()):
+        if tally[s] != closed.get(s, 0):
+            rows.append(dict(zip(_ORACLE_COLUMNS, (degree, side, f"genus={s}", closed.get(s, 0), tally[s]))))
     return checked, rows
 
 
@@ -179,7 +196,7 @@ def run_oracle_diff(args, parser) -> tuple[dict, tuple[str, ...], bool]:
     blocks = _pmap(_oracle_block, tasks, args.threads)
     rows = [row for _, block in blocks for row in block]
     checked = sum(n for n, _ in blocks)
-    return {"rows": rows, "checked": checked}, ("degree", "side", "perm", "formula", "trace"), not rows
+    return {"rows": rows, "checked": checked}, _ORACLE_COLUMNS, not rows
 
 
 def run_homology(args, parser) -> tuple[dict, tuple[str, ...], bool]:
@@ -319,30 +336,12 @@ COMMANDS: dict[str, tuple[str, Callable, list[tuple[str, dict]]]] = {
 def _json_blocks(report: dict) -> Iterator[str]:
     """
     The text of ``json.dumps(report, sort_keys=True, indent=2)`` and a newline,
-    in blocks: one top-level key at a time, and its rows a batch at a time.
+    in blocks of ``JSON_BLOCK`` encoder chunks, so the whole text is never held.
     """
-    encoder = json.JSONEncoder(sort_keys=True, indent=2)
-    # every value is written one level in, so each newline in its text shifts
-    # by two spaces; an encoded string holds no raw newline of its own
-    head = "{"
-    for key in sorted(report):
-        yield f"{head}\n  {encoder.encode(key)}: "
-        head = ","
-        if key == "rows":
-            # each batch's list text without its brackets; the brackets and
-            # commas between batches are written here
-            rows, sep = iter(report[key]), "["
-            while batch := list(islice(rows, JSON_BLOCK)):
-                yield sep + encoder.encode(batch)[1:-2].replace("\n", "\n  ")
-                sep = ","
-            yield "[]" if sep == "[" else "\n  ]"
-        else:
-            # each chunk is shifted before it is joined: shifting the joined
-            # block copies it, and those copies raised the e1 peak by 2 MB
-            chunks = (c.replace("\n", "\n  ") for c in encoder.iterencode(report[key]))
-            while block := "".join(islice(chunks, JSON_BLOCK)):
-                yield block
-    yield "{}\n" if head == "{" else "\n}\n"
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+    while block := "".join(islice(chunks, JSON_BLOCK)):
+        yield block
+    yield "\n"
 
 
 def _render(report: dict, columns: tuple[str, ...], fmt: str) -> Iterator[str]:

@@ -68,6 +68,21 @@ class TestExitCodes:
             rows.insert(0, {"claim": "a", "params": "g=2;k=1", "inequality": "3 >= 2", "holds": True})
         assert report["rows"] == rows
 
+    def test_ledger_failures_only_with_no_failure(self, capsys):
+        # a real ledger, not a stub: its lazy rows reach each renderer empty
+        from arccalc import cli
+
+        argv = ["ledger", "--g-max", "1", "--k-max", "1", "--failures-only", "--format"]
+        assert cli.main(argv + ["json"]) == 0
+        text = capsys.readouterr().out
+        report = json.loads(text)
+        assert report["rows"] == [] and report["total"] == 2 and report["ok"]
+        assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert cli.main(argv + ["csv"]) == 0
+        assert capsys.readouterr().out == "claim,params,inequality,holds\n"
+        assert cli.main(argv + ["table"]) == 0
+        assert capsys.readouterr().out == "claim  params  inequality  holds\nok: True  (total=2)\n"
+
     def test_homotopy_checking_nothing_fails(self):
         res = run("homotopy", "--max-degree", "1", "--format", "json")
         assert res.returncode == 1
@@ -334,6 +349,30 @@ class TestSuites:
         assert cli.main(["oracle-diff", "--max-degree", "3", "--format", "csv"]) == 1
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))
         assert rows == [["degree", "side", "perm", "formula", "trace"], ["3", "2", "1,2,0", "6", "5"]]
+
+    @pytest.mark.parametrize("change", ["drop", "repeat"])
+    def test_oracle_genus_tally_catches_a_missing_or_repeated_word(self, monkeypatch, capsys, change):
+        # both counts agree on every word enumerated, so only the tally
+        # against genus_counts sees that the enumeration is wrong
+        from itertools import chain, islice
+
+        from arccalc import cli
+        from arccalc.surfaces import genus_counts
+
+        perms = cli.all_perms
+        if change == "drop":
+            monkeypatch.setattr(cli, "all_perms", lambda d: islice(perms(d), 1, None))
+        else:
+            monkeypatch.setattr(cli, "all_perms", lambda d: chain(perms(d), islice(perms(d), 1)))
+        checked, rows = cli._oracle_block((4, 1))
+        # the identity word, the first enumerated, has genus 0
+        closed = genus_counts(4, 1)[0]
+        assert checked == 24 + (-1 if change == "drop" else 1)
+        assert rows == [{"degree": 4, "side": 1, "perm": "genus=0", "formula": closed, "trace": checked - 24 + closed}]
+        assert cli.main(["oracle-diff", "--max-degree", "3", "--format", "json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert not data["ok"] and {r["perm"] for r in data["rows"]} == {"genus=0"}
+        assert {(r["degree"], r["side"]) for r in data["rows"]} == {(d, s) for d in (1, 2, 3) for s in (1, 2)}
 
     def test_oracle_block_fills_no_cache(self):
         from arccalc.cli import _oracle_block

@@ -172,6 +172,31 @@ class TestExceptionLists:
         after = orbit_set_exceptions("surj-s01")
         assert set(after) < set(before)
 
+    def test_enumeration_bounds_leave_no_exception_out(self):
+        # orbit_set_exceptions loops over n in 1..6, g <= n + 1 and
+        # k <= 2g + 1; each threshold rises with k, so a mode that admits no
+        # k0 admits no k above it either
+        from arccalc.ledger import _CASES, _required_orbit_sets_present
+
+        modes = {mode for _, mode in _CASES.values()}
+
+        def admits(n, k, g):
+            return any(twisted_range(mode, n, k, g, lm) for mode in modes for lm in GLUINGS)
+
+        # past n = 6, no genus low enough to miss an orbit admits any k
+        for n in range(7, 13):
+            for g in range(0, n + 2):
+                assert not admits(n, 0, g), (n, g)
+        # up to n = 6, no admitted k is above 2g + 1
+        for n in range(1, 7):
+            for g in range(0, n + 2):
+                assert not admits(n, 2 * g + 2, g), (n, g)
+        # above g = n + 1, no required orbit set is missed
+        for case in EXCEPTION_CASES:
+            for n in range(1, 7):
+                for g in range(n + 2, n + 8):
+                    assert _required_orbit_sets_present(case, n, g), (case, n, g)
+
     def test_unknown_case(self):
         with pytest.raises(ValueError):
             orbit_set_exceptions("nope")
