@@ -26,7 +26,6 @@ import os
 import sys
 from collections import Counter
 from itertools import islice
-from multiprocessing import get_context
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
 
@@ -165,8 +164,12 @@ def _oracle_block(task: tuple[int, int]) -> tuple[int, list[dict]]:
 def _pmap(fn, tasks: list, threads: int) -> list:
     if threads <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here: at module level it adds to the start-up time and peak
+    # RSS of every command, and only oracle-diff runs on workers
+    import multiprocessing
+
     # a worker beyond one per task would only start and exit
-    with get_context("fork").Pool(min(threads, len(tasks))) as pool:
+    with multiprocessing.get_context("fork").Pool(min(threads, len(tasks))) as pool:
         # one task per chunk: the default chunksize can put the costliest
         # tasks (the last ones) in a single chunk, on a single worker
         return pool.map(fn, tasks, chunksize=1)

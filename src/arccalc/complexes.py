@@ -21,7 +21,6 @@ if the faces are right, up to degree 8.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -167,13 +166,15 @@ def homology(c: ChainComplex, d: int) -> HomologyGroup:
     out of absent degrees are zero, so the ends report kernels/cokernels of
     the truncation.  The degree itself must be present.
 
-    The boundary into ``d`` is cleared by the one out of it: when every
-    pivot of ``snf(∂_d)`` is a unit, the rows of ``∂_{d+1}`` at its pivot
-    columns are integer combinations of the other rows, because
-    ``∂_d @ ∂_{d+1} == 0``, so ``snf(∂_{d+1})`` skips them and finds the
-    same rank and invariant factors (the clearing of Chen and Kerber, 2011,
-    and Bauer, Kerber and Reininghaus, 2014; the argument is in
-    :mod:`arccalc.intmat`).  After a non-unit pick nothing is skipped.
+    The boundary into ``d`` is cleared by the one out of it.  ``snf(∂_d)``
+    first reduces ``∂_d`` to a row echelon form; when every lead is a unit,
+    the rows of ``∂_{d+1}`` at the lead columns are integer combinations of
+    the other rows, because ``∂_d @ ∂_{d+1} == 0``, so ``snf(∂_{d+1})``
+    skips them and finds the same rank and invariant factors (the clearing
+    of Chen and Kerber, 2011, and Bauer, Kerber and Reininghaus, 2014; the
+    argument is in :mod:`arccalc.intmat`).  A lead that is not a unit hands
+    ``∂_d`` to the eliminator, whose unit pivot columns clear the same way;
+    after a non-unit pick nothing is skipped.
     """
     if d < c.min_degree or d > c.max_degree:
         raise ValueError(f"degree {d} not present (range {c.min_degree}..{c.max_degree})")
@@ -280,6 +281,10 @@ def verify_homotopy_sampled(degree: int, samples: int, seed: int = 0) -> Homotop
     """Same identity on ``samples`` random words of the given degree."""
     if degree < 2:
         raise ValueError("homotopy identity needs degree >= 2")
+    # imported here: at module level it adds to the start-up time and peak
+    # RSS of every command, and only the sampled check draws words
+    import random
+
     rng = random.Random(seed)
 
     def draw() -> Perm:

@@ -2,48 +2,61 @@
 Sparse matrices over the integers and their Smith normal form.
 
 Arithmetic is exact (Python integers), so invariant factors are trustworthy
-at any coefficient size.  Elimination walks the rows in index order and
-pivots each on its unit entry in the largest column; on the boundary
-matrices of lexicographic bases that this package produces, that is an
-echelon order with little fill-in, every pivot is unit, and coefficient
-growth never materializes in practice.  Other matrices fall back to any
-unit entry, or else an entry of least absolute value.  A non-unit pivot
-reduces its whole column and row and then moves to the least remainder (the
-rule of Havas, Holt and Rees, 1993), which keeps coefficients small on
-torsion-heavy input, and it retires only once it divides every entry left,
-so the invariant factors form a divisibility chain as they are found.
+at any coefficient size.  ``snf`` runs in two stages.  Without transforms
+it first reduces the rows to a row echelon form whose leads are units
+(``_unit_echelon``): the rows in index order, each reduced at its largest
+column by the earlier row that leads there, with the row's columns in a
+heap, until it is zero or leads in a new column.  On the boundary matrices
+of lexicographic bases that this package produces, every lead is a unit,
+so this stage gives the rank and the factors, all 1, with no column index
+and no column operation.  At the first lead that is not a unit it gives up,
+and the second stage, the eliminator, starts over on the untouched input;
+the eliminator alone runs when transforms are wanted.  It also walks the
+rows in index order, pivoting each on its unit entry in the largest column;
+other matrices fall back to any unit entry, or else an entry of least
+absolute value.  A non-unit pivot reduces its whole column and row and then
+moves to the least remainder (the rule of Havas, Holt and Rees, 1993),
+which keeps coefficients small on torsion-heavy input, and it retires only
+once it divides every entry left, so the invariant factors form a
+divisibility chain as they are found.
 
 Memory, not time, is what bounds sparse elimination on large boundary
-matrices (Dumas, Heckenbach, Saunders and Welker, 2003), so the eliminator
-keeps little beside the fill-in.  Its rows are the input's own dicts until
+matrices (Dumas, Heckenbach, Saunders and Welker, 2003), so both stages
+keep little beside the fill-in.  Their rows are the input's own dicts until
 one is first written, when that row alone is copied, so ``snf`` never
-mutates its input.  Each column keeps a plain list of the rows that have
-held an entry there, appended to and never pruned: it may name a row twice,
-or a row whose entry is gone, and it is rebuilt only when its column
-pivots.  A retired pivot's row is a fresh one-entry dict, since a Python
-dict never shrinks as entries are deleted.
+mutates its input.  The echelon keeps only its pivot rows, and each row's
+heap only while the row is reduced.  The eliminator's columns each keep a
+plain list of the rows that have held an entry there, appended to and never
+pruned: it may name a row twice, or a row whose entry is gone, and it is
+rebuilt only when its column pivots.  A retired pivot's row is a fresh
+one-entry dict, since a Python dict never shrinks as entries are deleted.
 
-Homology clears a boundary matrix by the unit pivots of the one below it,
+Homology clears a boundary matrix by the lead columns of the one below it,
 the *clearing* of persistent homology (Chen and Kerber, "Persistent
 homology computation with a twist", 2011; Bauer, Kerber and Reininghaus,
 "Clear and compress", 2014) carried over to the integers.  Say
-``A @ B == 0`` and every pivot of ``snf(A)`` was picked as a unit.  When a
-unit pivot is picked, its row is still an integer combination of the rows
-of ``A`` (the column operations so far changed only retired pivot rows), it
-is zero in every earlier pivot column and a unit in its own.  Back
-substitution then gives, for each pivot column ``q``, a vector ``c`` in the
-row lattice of ``A`` that is ``e_q`` on the pivot columns, and
-``c @ B == 0``: row ``q`` of ``B`` is an integer combination of the rows of
-``B`` outside the pivot columns.  Dropping those rows leaves the row
-lattice of ``B``, so its rank and every invariant factor, unchanged.  A
-non-unit pick mixes rows by column operations, so after one no pivot
-column is offered for clearing.
+``A @ B == 0`` and the echelon of ``A`` has only unit leads.  Each pivot
+row is a row of ``A`` less integer multiples of earlier pivot rows, so it
+lies in the row lattice of ``A``; it has no entry past its lead, so the
+pivot rows restricted to the lead columns, in lead order, are a unit
+triangular matrix.  Back substitution then gives, for each lead column
+``q``, a vector ``c`` in the row lattice of ``A`` that is ``e_q`` on the
+lead columns, and ``c @ B == 0``: row ``q`` of ``B`` is an integer
+combination of the rows of ``B`` outside the lead columns.  Dropping those
+rows leaves the row lattice of ``B``, so its rank and every invariant
+factor, unchanged.  The eliminator's unit pivots clear by the same
+argument: when a unit pivot is picked, its row is still in the row lattice
+of ``A`` (the column operations so far changed only retired pivot rows),
+zero in every earlier pivot column and a unit in its own.  A non-unit pick
+mixes rows by column operations, so after one no pivot column is offered
+for clearing.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
 
@@ -143,8 +156,9 @@ class SparseIntMatrix:
 class SNFResult:
     """
     Invariant factors ``d_1 | d_2 | ...`` with optional unimodular U, V.
-    ``unit_pivot_columns`` holds the pivot columns of a run that picked
-    only unit pivots, and is empty after any non-unit pick.
+    ``unit_pivot_columns`` holds the lead columns of a unit echelon, or the
+    pivot columns of an elimination that picked only unit pivots, and is
+    empty after any non-unit pick.
     """
 
     invariant_factors: tuple[int, ...]
@@ -156,12 +170,14 @@ class SNFResult:
 
 class _Eliminator:
     """
-    Row/column elimination state of ``snf`` (the module docstring says what
-    it keeps and why).  ``rows[i]`` is the input's own dict, or a fresh
-    empty one for a skipped row, until ``own(i)`` copies it at its first
-    write.  ``col_rows[j]`` may name a row twice, or a row whose entry in
-    column ``j`` is gone; ``clear_pivot`` rebuilds the pivot column's list
-    before it reads it, and leaves a retired pivot a one-entry row.
+    Row/column elimination state of ``snf``'s second stage, which runs when
+    transforms are wanted or the unit echelon meets a lead that is not a
+    unit (the module docstring says what it keeps and why).  ``rows[i]`` is
+    the input's own dict, or a fresh empty one for a skipped row, until
+    ``own(i)`` copies it at its first write.  ``col_rows[j]`` may name a row
+    twice, or a row whose entry in column ``j`` is gone; ``clear_pivot``
+    rebuilds the pivot column's list before it reads it, and leaves a
+    retired pivot a one-entry row.
     """
 
     def __init__(self, m: SparseIntMatrix, want_transforms: bool, skip_rows: frozenset[int]):
@@ -302,6 +318,65 @@ class _Eliminator:
         return best
 
 
+def _unit_echelon(m: SparseIntMatrix, skip_rows: frozenset[int]) -> SNFResult | None:
+    """
+    The first stage of ``snf``: a row echelon form with unit leads, or
+    ``None`` at the first lead that is not a unit.
+
+    The rows are taken in index order, and the rows in ``skip_rows`` are
+    passed over.  Each is reduced at its lead, its largest column, by the
+    earlier row that leads there, until its lead is a column no earlier row
+    leads in; it then becomes a pivot row, or it has reduced to zero.  A
+    row's columns are kept in a max-heap, to which each reduction pushes its
+    fill-in: a pivot row has no entry beyond its lead, so the fill-in lies
+    below the column just reduced and the leads of one row strictly fall.  A
+    column whose entry has cancelled stays in the heap and is dropped when
+    it comes to the top.  A row is copied at its first reduction, so the
+    input is never written, and only the pivot rows are kept.
+
+    When every lead is a unit, the pivot rows have distinct leads, and their
+    lead columns restricted to them form a unit triangular matrix, so each
+    invariant factor is 1 and the rank is the number of pivot rows.
+    """
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(m._rows):
+        if not row or i in skip_rows:
+            continue
+        heap = [-j for j in row]
+        heapify(heap)
+        shared = True
+        while heap:
+            j = -heap[0]
+            v = row.get(j)
+            if v is None:
+                heappop(heap)  # an entry that cancelled
+                continue
+            p = pivot_rows.get(j)
+            if p is None:
+                if v != 1 and v != -1:
+                    return None
+                pivot_rows[j] = row
+                break
+            heappop(heap)
+            if shared:
+                row = dict(row)
+                shared = False
+            # p leads with a unit, so c * p cancels v: p[j] * p[j] == 1
+            c = v * p[j]
+            for k, x in p.items():
+                y = c * x
+                old = row.get(k)
+                if old is None:
+                    row[k] = -y
+                    heappush(heap, -k)
+                elif old == y:
+                    del row[k]
+                else:
+                    row[k] = old - y
+    rank = len(pivot_rows)
+    return SNFResult((1,) * rank, rank, unit_pivot_columns=frozenset(pivot_rows))
+
+
 def snf(
     m: SparseIntMatrix, want_transforms: bool = False, skip_rows: frozenset[int] = frozenset()
 ) -> SNFResult:
@@ -323,15 +398,24 @@ def snf(
     ``m`` is never mutated: its rows are shared with the elimination until
     they are first written, and copied then.
 
-    No row or column is ever moved.  Each pivot is recorded at the position
-    where ``clear_pivot`` leaves it, alone in its row and column (a
-    one-entry dict) and dividing every entry left, so the pivots retire in
-    divisibility order.  U lists the pivot rows in that order (negated where
+    Two stages: without transforms, ``_unit_echelon`` runs first and its
+    result is returned if every lead is a unit, with the lead columns as
+    ``unit_pivot_columns``.  Otherwise, and always with transforms, the
+    eliminator runs on the input from the start.
+
+    In the eliminator no row or column is ever moved.  Each pivot is
+    recorded at the position where ``clear_pivot`` leaves it, alone in its
+    row and column (a one-entry dict) and dividing every entry left, so the
+    pivots retire in divisibility order.  U lists the pivot rows in that order (negated where
     the pivot is negative) before the other rows, and V the pivot columns
     before the other columns.
     """
     if skip_rows and want_transforms:
         raise ValueError("skip_rows and want_transforms exclude each other")
+    if not want_transforms:
+        echelon = _unit_echelon(m, skip_rows)
+        if echelon is not None:
+            return echelon
     e = _Eliminator(m, want_transforms, skip_rows)
     rows = e.rows
     pivots: list[tuple[int, int]] = []

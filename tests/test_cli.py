@@ -425,7 +425,7 @@ class TestSuites:
         class FakeContext:
             Pool = SerialPool
 
-        monkeypatch.setattr(cli, "get_context", lambda method: FakeContext)
+        monkeypatch.setattr("multiprocessing.get_context", lambda method: FakeContext)
         assert cli._pmap(abs, [-1, -2, -3], 64) == [1, 2, 3]
         assert cli._pmap(abs, [-1, -2, -3], 2) == [1, 2, 3]
         assert sizes == [3, 2]
@@ -654,8 +654,10 @@ _VALUE = st.recursive(
 _COLUMNS = ("p", "perm", "rows")
 # a row may miss a column, or hold a key no column names
 _ROW = st.dictionaries(st.sampled_from(_COLUMNS + ("other",)), _VALUE, max_size=4)
-# zero rows, one, and counts on each side of one and two batch boundaries
-_COUNTS = [0, 1, 2, cli.JSON_BLOCK - 1, cli.JSON_BLOCK, cli.JSON_BLOCK + 1, 2 * cli.JSON_BLOCK + 1]
+# zero rows, one, two, and enough to cross block boundaries: the encoder
+# yields at least two chunks per row (its separator and the row's dict), so
+# the last count makes at least 2 * JSON_BLOCK chunks, written in 3 blocks
+_COUNTS = [0, 1, 2, cli.JSON_BLOCK + 1]
 
 
 @st.composite

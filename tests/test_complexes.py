@@ -21,7 +21,7 @@ from arccalc.complexes import (
     verify_homotopy_sampled,
     verify_quotient_homotopy,
 )
-from arccalc.intmat import SparseIntMatrix, snf
+from arccalc.intmat import SparseIntMatrix, _unit_echelon, snf
 from arccalc.perms import FormalSum, all_perms, boundary, hat, identity
 from arccalc.surfaces import _neighborhood_boundary, boundary_count, realizable_perms
 
@@ -263,6 +263,19 @@ def check_gf2_rank(m, res):
 
 
 class TestClearing:
+    @pytest.mark.parametrize("g, side", THROUGH_DEGREE_7)
+    def test_no_boundary_matrix_falls_back(self, g, side):
+        # every lead of the unit echelon is a unit, whole and cleared as
+        # homology clears it, so the clearing and GF(2) tests below run it
+        c = through_degree_7(g, side)
+        cleared = frozenset()
+        for d in range(2, 8):
+            m = c.boundary_matrix(d)
+            assert _unit_echelon(m, frozenset()) is not None, d
+            res = _unit_echelon(m, cleared)
+            assert res is not None, d
+            cleared = res.unit_pivot_columns
+
     @pytest.mark.parametrize("g, side", THROUGH_DEGREE_7)
     def test_cleared_factors_equal_the_full_ones(self, g, side):
         c = through_degree_7(g, side)

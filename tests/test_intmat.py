@@ -3,12 +3,13 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import arccalc
-from arccalc.intmat import SparseIntMatrix, snf
+from arccalc.intmat import SparseIntMatrix, _unit_echelon, snf
 
 from dense_snf import dense_invariant_factors
 
@@ -79,6 +80,38 @@ def dense_matrices(draw, bound):
     m = draw(st.integers(min_value=1, max_value=7))
     entries = st.lists(st.integers(min_value=-bound, max_value=bound), min_size=m, max_size=m)
     return [draw(entries) for _ in range(n)]
+
+
+def sparse_sign_matrix(randint, choice):
+    """A matrix of 1..8 rows and columns whose entries are mostly 0, else 1
+    or -1.  ``randint`` and ``choice`` draw as in ``torsion_heavy``."""
+    n = randint(1, 8)
+    m = randint(1, 8)
+    return [[choice((0, 0, 0, 1, -1)) for _ in range(m)] for _ in range(n)]
+
+
+def sign_elementary_product(randint, choice):
+    """A product of elementary matrices with entries ±1, of size 1..8: the
+    identity after random additions and subtractions of one row to another."""
+    n = randint(1, 8)
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(randint(0, 3 * n)):
+        src = randint(0, n - 1)
+        dst = randint(0, n - 1)
+        if src != dst:
+            c = choice((1, -1))
+            a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+    return a
+
+
+@st.composite
+def sign_matrices(draw):
+    """``sparse_sign_matrix`` or ``sign_elementary_product``, drawn by Hypothesis."""
+    recipe = draw(st.sampled_from((sparse_sign_matrix, sign_elementary_product)))
+    return recipe(
+        lambda lo, hi: draw(st.integers(min_value=lo, max_value=hi)),
+        lambda seq: draw(st.sampled_from(seq)),
+    )
 
 
 def replay_torsion_heavy(seed):
@@ -331,6 +364,9 @@ class TestClearing:
         m = from_dense([[2, 0], [0, 3], [0, 0]])
         assert snf(m, skip_rows=frozenset({1})).invariant_factors == (2,)
         assert snf(m, skip_rows=frozenset({0, 1})).invariant_factors == ()
+        # the unit echelon passes over them too
+        res = snf(from_dense([[1, 0], [0, 1]]), skip_rows=frozenset({1}))
+        assert (res.invariant_factors, res.unit_pivot_columns) == ((1,), frozenset({0}))
 
     def test_skip_rows_with_transforms_raises(self):
         with pytest.raises(ValueError):
@@ -369,3 +405,87 @@ class TestClearing:
         assert (a @ b).is_zero()
         cleared = snf(b, skip_rows=snf(a).unit_pivot_columns)
         assert cleared.invariant_factors == res.invariant_factors
+
+
+def check_unit_echelon(b, a_rows):
+    """
+    ``b``, and ``b`` cleared by the unit pivots of ``a`` (a dense matrix
+    whose rows are integer combinations of the left kernel of ``b``, so
+    ``a @ b == 0``), have the factors of ``b`` with transforms and of the
+    dense referee; where the unit echelon reduces, ``snf`` returns its
+    result, with one lead column per unit factor.  Returns the outcomes:
+    ``"fell back"``, ``"reduced"`` and, with rows cleared, ``"reduced cleared"``.
+    """
+    m = from_dense(b)
+    a = from_dense(a_rows)
+    assert (a @ m).is_zero()
+    expected = tuple(dense_invariant_factors(b))
+    full = snf(m, want_transforms=True)
+    assert full.invariant_factors == expected
+    skip = snf(a).unit_pivot_columns
+    outcomes = set()
+    for rows in (frozenset(), skip):
+        echelon = _unit_echelon(m, rows)
+        res = snf(m, skip_rows=rows)
+        assert (res.invariant_factors, res.rank) == (expected, full.rank)
+        if echelon is None:
+            outcomes.add("fell back")
+        else:
+            assert res == echelon
+            assert len(res.unit_pivot_columns) == res.rank
+            outcomes.add("reduced cleared" if rows else "reduced")
+    return outcomes
+
+
+def left_kernel(b):
+    """The rows of U past the rank of ``snf(b)``: they span the left kernel of ``b``."""
+    res = snf(from_dense(b), want_transforms=True)
+    return res.U.to_dense()[res.rank :] or [[0] * len(b)]
+
+
+class TestUnitEchelon:
+    """The first stage of ``snf``: without transforms it reduces the rows to
+    an echelon form with unit leads, and falls back to the eliminator at the
+    first lead that is not a unit."""
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_property_unit_echelon_equals_the_eliminator_and_the_referee(self, data):
+        b = data.draw(sign_matrices())
+        kernel = left_kernel(b)
+        coeffs = st.lists(
+            st.integers(min_value=-2, max_value=2), min_size=len(kernel), max_size=len(kernel)
+        )
+        a = dense_matmul(data.draw(st.lists(coeffs, min_size=1, max_size=4)), kernel)
+        check_unit_echelon(b, a)
+
+    def test_seeded_draws_take_both_stages(self):
+        # the property above would hold vacuously if every draw fell back
+        rng = random.Random(25)
+        seen = Counter()
+        for t in range(200):
+            recipe = sparse_sign_matrix if t % 2 else sign_elementary_product
+            b = recipe(rng.randint, rng.choice)
+            kernel = left_kernel(b)
+            seen.update(check_unit_echelon(b, dense_matmul([[1] * len(kernel)], kernel)))
+        assert min(seen[k] for k in ("fell back", "reduced", "reduced cleared")) >= 10, seen
+
+    def test_a_cancelled_column_comes_back(self):
+        # row 2 less row 0 cancels column 1, and less row 1 brings it back,
+        # so its heap holds column 1 twice; row 3 reduces to zero, leaving
+        # only cancelled columns in its heap
+        dense = [[0, 1, 0, 1], [0, -1, 1, 0], [0, 1, 1, 1], [0, 1, 1, 2]]
+        m = from_dense(dense)
+        before = copy.deepcopy(m._rows)
+        res = _unit_echelon(m, frozenset())
+        assert res.invariant_factors == tuple(dense_invariant_factors(dense)) == (1, 1, 1)
+        assert res.unit_pivot_columns == frozenset({1, 2, 3})
+        assert m._rows == before
+
+    def test_a_non_unit_lead_after_a_reduction_falls_back(self):
+        # row 1 plus row 0 leaves the lead 2 in column 0
+        m = from_dense([[1, 1], [1, -1]])
+        assert _unit_echelon(m, frozenset()) is None
+        res = snf(m)
+        assert res.invariant_factors == (1, 2)
+        assert res.unit_pivot_columns == frozenset()
