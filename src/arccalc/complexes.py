@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from .intmat import SparseIntMatrix, snf
 from .perms import Perm, all_perms, faces, hat, identity
-from .surfaces import _realizable, boundary_count, realizable_perms
+from .surfaces import _realizable, _word_genus, realizable_perms
 
 DEFAULT_DEGREE_CAP = 7
 MAX_DEGREE_CAP = 8  # factorial growth; degree 9 is out of the supported range
@@ -315,7 +315,7 @@ def quotient_contraction(g: int, side: int, word: Perm) -> Perm | None:
     """
     top = g + side - 1
     lifted = hat(word)
-    if len(word) < top or _realizable(lifted, side, g, boundary_count(lifted, side)):
+    if len(word) < top or _realizable(lifted, side, g, _word_genus(lifted, side)):
         return lifted
     if word != identity(top):
         raise ValueError(f"unexpected escape at degree {len(word)}: {word}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .complexes import MAX_DEGREE_CAP, face_matrix, quotient_complex
 from .intmat import SparseIntMatrix
 from .perms import _ID, Perm, faces
-from .surfaces import SurfaceType, _cut_surface, _genus, boundary_count, realizable_perms
+from .surfaces import SIDES, SurfaceType, _cut_surface, _genera, _realizable
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,19 +58,16 @@ def e1_skeleton(ambient: SurfaceType, side: int, max_p: int) -> E1Page:
     Populate columns 1..``max_p`` with realizable words and their stabilizer
     labels.  The page converges to zero for ``p + q <= 2g - 2 + side``.
 
-    Each word's boundary count is computed here once, uncached, and gives
-    both its simplex genus and its cut surface, by the arithmetic of
-    :func:`simplex_genus` and :func:`cut_surface`.  For ``p > g - 1 + side``
-    the realizability filter of :func:`realizable_perms` has counted each
-    word once before.  In one column both depend on the count alone, so
-    they are worked out once per count, and summands with equal stabilizers
-    share one label.
+    One pass, :func:`~arccalc.surfaces._genera`, gives each word's simplex
+    genus from one uncached boundary count.  A label depends on ``p`` and
+    the genus alone (:func:`cut_surface`), so a column works out one label
+    per genus, shared by its summands.
 
     >>> page = e1_skeleton(SurfaceType(3, 2), 1, 2)
     >>> page.vanishing_bound
     5
     """
-    if side not in (1, 2):
+    if side not in SIDES:
         raise ValueError("side must be 1 or 2")
     if ambient.r < side:
         raise ValueError(f"{ambient} has too few boundary circles for side {side}")
@@ -81,12 +78,12 @@ def e1_skeleton(ambient: SurfaceType, side: int, max_p: int) -> E1Page:
     columns = []
     for p in range(1, max_p + 1):
         col = []
-        by_count: dict[int, tuple[int, SurfaceType]] = {}
-        for w in realizable_perms(p, side, ambient.g):
-            nb = boundary_count(w, side)
-            if nb not in by_count:
-                by_count[nb] = (_genus(w, side, nb), _cut_surface(ambient, w, side, nb))
-            col.append(Summand(w, *by_count[nb]))
+        labels: dict[int, SurfaceType] = {}
+        for w, s in _genera(p, side):
+            if _realizable(w, side, ambient.g, s):
+                if s not in labels:
+                    labels[s] = _cut_surface(ambient, w, side, s)
+                col.append(Summand(w, s, labels[s]))
         columns.append(tuple(col))
     return E1Page(ambient, side, tuple(columns), 2 * ambient.g - 2 + side)
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .perms import all_perms, identity
-from .surfaces import _genus, _realizable, boundary_count
+from .perms import identity
+from .surfaces import _genera, _realizable, _word_genus
 
 GLUINGS = ((1, 0), (0, 1), (1, -1))
 
@@ -210,16 +210,11 @@ def _full_orbit_set(p: int, side: int, g_complex: int) -> bool:
     # the identity word minimizes the thickening genus (value 0), so the
     # orbit set is full exactly when the identity is realizable
     w = identity(p)
-    return _realizable(w, side, g_complex, boundary_count(w, side))
+    return _realizable(w, side, g_complex, _word_genus(w, side))
 
 
 def _positive_genus_words_realizable(p: int, side: int, g_complex: int) -> bool:
-    # each count is read once, uncached, for both the genus and the criterion
-    for w in all_perms(p):
-        nb = boundary_count(w, side)
-        if _genus(w, side, nb) >= 1 and not _realizable(w, side, g_complex, nb):
-            return False
-    return True
+    return all(s < 1 or _realizable(w, side, g_complex, s) for w, s in _genera(p, side))
 
 
 def _required_orbit_sets_present(case: str, n: int, g: int) -> bool:

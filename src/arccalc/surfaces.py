@@ -11,14 +11,16 @@ the complementary cut surface (boundary count, genus, realizability on a
 given genus) is a function of that pair alone.
 
 An :class:`ArcClass` checks a pair that comes from outside; the word-level
-functions take ``(perm, side)`` unchecked, for words already known to be
-permutations, such as those of :func:`~arccalc.perms.all_perms`.
+helpers take ``(perm, side)`` unchecked, for words already known to be
+permutations, such as those of :func:`~arccalc.perms.all_perms`, and a
+genus that :func:`_genera` reads for a whole degree, one count per word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .perms import _ID, Perm, all_perms, as_perm, cycle_count, hat
 
@@ -53,7 +55,7 @@ class ArcClass:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "perm", as_perm(self.perm))
-        if self.side not in SIDES:
+        if isinstance(self.side, bool) or self.side not in SIDES:
             raise ValueError(f"side must be 1 or 2, got {self.side}")
         # hat takes side 1 one degree up, and a byte word stops at degree 256
         if len(self.perm) > 254 + self.side:
@@ -102,28 +104,35 @@ def _genus(perm: Perm, side: int, nb: int) -> int:
     return num // 2
 
 
-def _realizable(perm: Perm, side: int, g: int, nb: int) -> bool:
-    """The realizability criterion, from the boundary count ``nb``."""
+def _word_genus(perm: Perm, side: int) -> int:
+    """Simplex genus of ``perm`` on ``side``, from one uncached boundary count."""
+    return _genus(perm, side, boundary_count(perm, side))
+
+
+def _genera(p: int, side: int) -> Iterator[tuple[Perm, int]]:
+    """Each degree-``p`` word in lexicographic order, with its simplex genus."""
+    return ((w, _word_genus(w, side)) for w in all_perms(p))
+
+
+def _realizable(perm: Perm, side: int, g: int, s: int) -> bool:
+    """The realizability criterion, from the simplex genus ``s``."""
     if g < 0:
         raise ValueError("genus must be >= 0")
-    return _genus(perm, side, nb) >= len(perm) + 1 - g - side
+    return s >= len(perm) + 1 - g - side
 
 
-def _cut_surface(ambient: SurfaceType, perm: Perm, side: int, nb: int) -> SurfaceType:
-    """The cut-surface type of ``perm`` on ``side``, from the boundary count ``nb``."""
+def _cut_surface(ambient: SurfaceType, perm: Perm, side: int, s: int) -> SurfaceType:
+    """The cut-surface type of ``perm`` on ``side``, from its simplex genus ``s``."""
     if ambient.r < side:
         raise ValueError(f"{ambient} has too few boundary circles for side {side}")
-    s = _genus(perm, side, nb)
     p = len(perm)
-    if not _realizable(perm, side, ambient.g, nb):
+    if not _realizable(perm, side, ambient.g, s):
         raise ValueError(
             f"genus deficit: {ArcClass(perm, side)} needs simplex genus >= {p + 1 - ambient.g - side}, has {s}"
         )
-    # realizability gives g_cut >= 0, and the thickening has at least
+    # realizability gives g_cut >= 0, and the thickening has p + 2 - 2s >=
     # side + 1 boundary circles, so r_cut >= ambient.r - side + 1 >= 1
-    g_cut = ambient.g + s - (p + 1 - side)
-    r_cut = nb + ambient.r - 2 * side
-    return SurfaceType(g_cut, r_cut)
+    return SurfaceType(ambient.g + s - (p + 1 - side), p + 2 - 2 * s + ambient.r - 2 * side)
 
 
 def simplex_genus(a: ArcClass) -> int:
@@ -149,7 +158,7 @@ def realizable(a: ArcClass, g: int) -> bool:
     >>> realizable(ArcClass((0, 1, 2), 1), 1)
     False
     """
-    return _realizable(a.perm, a.side, g, boundary_of_neighborhood(a))
+    return _realizable(a.perm, a.side, g, simplex_genus(a))
 
 
 @lru_cache(maxsize=None)
@@ -164,8 +173,7 @@ def realizable_perms(p: int, side: int, g: int) -> tuple[Perm, ...]:
         raise ValueError("side must be 1 or 2")
     if p <= g - 1 + side:
         return tuple(all_perms(p))
-    # the filter reads each count once, so it skips the cache
-    return tuple(w for w in all_perms(p) if _realizable(w, side, g, boundary_count(w, side)))
+    return tuple(w for w, s in _genera(p, side) if _realizable(w, side, g, s))
 
 
 def genus_counts(p: int, side: int) -> tuple[int, ...]:
@@ -204,7 +212,7 @@ def cut_surface(ambient: SurfaceType, a: ArcClass) -> SurfaceType:
     >>> cut_surface(SurfaceType(5, 3), ArcClass((1, 2, 0), 2))
     SurfaceType(g=3, r=4)
     """
-    return _cut_surface(ambient, a.perm, a.side, boundary_of_neighborhood(a))
+    return _cut_surface(ambient, a.perm, a.side, simplex_genus(a))
 
 
 _GLUE_DELTAS = {

@@ -9,7 +9,7 @@ from math import factorial
 import pytest
 
 import arccalc
-from arccalc import complexes
+from arccalc import complexes, surfaces
 from arccalc.complexes import (
     exactness_report,
     face_matrix,
@@ -354,7 +354,7 @@ class TestHomotopy:
             counted.append(len(perm))
             return boundary_count(perm, side)
 
-        monkeypatch.setattr(complexes, "boundary_count", recording)
+        monkeypatch.setattr(surfaces, "boundary_count", recording)
         for g in range(2, 6):
             for side in (1, 2):
                 counted.clear()

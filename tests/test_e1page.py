@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from arccalc import e1page
+from arccalc import e1page, surfaces
 from arccalc.e1page import (
     cancellation_report,
     d1_follows_cancellation,
@@ -19,6 +19,7 @@ from arccalc.surfaces import (
     ArcClass,
     SurfaceType,
     _neighborhood_boundary,
+    boundary_count,
     cut_surface,
     realizable_perms,
     simplex_genus,
@@ -105,11 +106,11 @@ class TestSkeleton:
             e1_skeleton(SurfaceType(3, 1), 1, 0)
 
     def test_max_p_over_the_cap_raises_before_enumerating(self, monkeypatch):
-        # a column over the cap would filter all of S_9 or more
+        # a column over the cap would count all of S_9 or more
         def unreachable(*args):
-            pytest.fail("realizable_perms called for a max_p over the cap")
+            pytest.fail("the genus pass ran for a max_p over the cap")
 
-        monkeypatch.setattr(e1page, "realizable_perms", unreachable)
+        monkeypatch.setattr(e1page, "_genera", unreachable)
         with pytest.raises(ValueError, match="max_p"):
             e1_skeleton(SurfaceType(4, 2), 2, 9)
 
@@ -283,6 +284,21 @@ def test_column_genus_recorded():
     for p in range(1, 4):
         for s in page.column(p):
             assert s.genus == simplex_genus(ArcClass(s.perm, 1))
+
+
+def test_skeleton_counts_each_word_once(monkeypatch):
+    # one boundary count per word of S_1..S_7, also in the columns where
+    # every word is realizable: 1! + ... + 7! = 5913
+    counted = []
+
+    def counting(perm, side):
+        counted.append(perm)
+        return boundary_count(perm, side)
+
+    monkeypatch.setattr(surfaces, "boundary_count", counting)
+    e1_skeleton(SurfaceType(4, 2), 2, 7)
+    assert len(counted) == 5913
+    assert len(set(counted)) == 5913
 
 
 def test_labels_read_each_boundary_count_once_uncached():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from arccalc.perms import all_perms, compose, cycle_count, faces, hat, identity, inverse, rotation
 from arccalc.surfaces import (
+    _genera,
     _neighborhood_boundary,
     SIDES,
     ArcClass,
@@ -53,6 +54,13 @@ class TestTypes:
             ArcClass((True, False), side)
         with pytest.raises(ValueError, match="not a permutation word"):
             ArcClass((0, True), side)
+
+    def test_bool_side_is_rejected(self):
+        # kept, True would pass as side 1 and to_json would write "side": true
+        with pytest.raises(ValueError, match="side must be 1 or 2"):
+            ArcClass((0, 1), True)
+        with pytest.raises(ValueError, match="side must be 1 or 2"):
+            ArcClass((1, 0), False)
 
 
 class TestNeighborhoodBoundary:
@@ -185,9 +193,11 @@ class TestRealizability:
 class TestGenusCounts:
     @pytest.mark.parametrize("side", [1, 2])
     def test_matches_enumeration(self, side):
+        # the genus pass gives each word of S_p once, in lexicographic order
         for p in range(1, 9):
-            tally = Counter((p + 2 - boundary_count(w, side)) // 2 for w in all_perms(p))
-            assert dict(enumerate(genus_counts(p, side))) == tally, p
+            words, genera = zip(*_genera(p, side))
+            assert words == tuple(all_perms(p))
+            assert dict(enumerate(genus_counts(p, side))) == Counter(genera), p
 
     def test_counts_realizable_words(self):
         # realizable at genus g: simplex genus >= p + 1 - g - side
