@@ -261,7 +261,7 @@ def run_e1(args, parser) -> tuple[dict, tuple[str, ...], bool]:
             for s in page.column(p):
                 yield {
                     "p": p,
-                    "perm": ",".join(map(str, s.perm)),
+                    "perm": ",".join(map(str, s.word)),
                     "genus": s.genus,
                     "stabilizer_g": s.stabilizer.g,
                     "stabilizer_r": s.stabilizer.r,

@@ -4,6 +4,9 @@ integer homology.
 
 Degree ``d`` of a complex carries a lexicographically ordered basis of
 degree-``d`` words; the boundary of a word is its alternating face sum.  The
+complexes built here hold each basis as byte-string words (byte ``i`` is
+``w(i)``), less than half the memory of the same words as tuples, and
+:meth:`ChainComplex.basis` converts them to tuples when it is read.  The
 full complex over all of the symmetric groups is contractible via the
 prepend-a-fixed-point homotopy; the quotient complex at genus ``g`` keeps
 only words realizable by arc systems on a genus-``g`` surface, and stays
@@ -26,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 from .intmat import SparseIntMatrix, snf
 from .perms import Perm, all_perms, faces, hat, identity
-from .surfaces import _realizable, _word_genus, realizable_perms
+from .surfaces import _realizable, _realizable_words, _word_genus, realizable_perms
 
 DEFAULT_DEGREE_CAP = 7
 MAX_DEGREE_CAP = 8  # factorial growth; degree 9 is out of the supported range
@@ -41,13 +44,16 @@ def _check_cap(max_degree: int, low: int = 1) -> None:
 _SIGNS = (1, -1) * 128
 
 
-def face_matrix(words: Sequence[Perm], targets: Sequence[Perm]) -> SparseIntMatrix:
+def face_matrix(
+    words: Sequence[Perm] | Sequence[bytes], targets: Sequence[Perm] | Sequence[bytes]
+) -> SparseIntMatrix:
     """
     Signed face matrix: column ``c`` is the alternating face sum of
     ``words[c]``, and the row of a face is its position in ``targets``.
     A column or target that is not a permutation word of the right degree,
     a repeated target, or a face missing from ``targets`` raises
-    ``ValueError``.
+    ``ValueError``; a message names each word as a tuple, whichever kind
+    came in.
 
     >>> face_matrix([(0, 2, 1)], [(0, 1), (1, 0)]).to_dense()
     [[0], [1]]
@@ -62,9 +68,9 @@ def face_matrix(words: Sequence[Perm], targets: Sequence[Perm]) -> SparseIntMatr
     rows: dict[bytes, int] = {}
     for i, f in enumerate(targets):
         if len(f) != k - 1 or set(f) != letters:
-            raise ValueError(f"target {f} is not a permutation word of degree {k - 1}")
+            raise ValueError(f"target {tuple(f)} is not a permutation word of degree {k - 1}")
         if rows.setdefault(bytes(f), i) != i:
-            raise ValueError(f"target {f} is repeated")
+            raise ValueError(f"target {tuple(f)} is repeated")
     out = m._rows
     for c, word in enumerate(words):
         # a word that is not a permutation has a face outside the targets: a
@@ -74,14 +80,14 @@ def face_matrix(words: Sequence[Perm], targets: Sequence[Perm]) -> SparseIntMatr
         except ValueError:
             w = b""  # an entry outside range(256)
         if len(w) != k:
-            raise ValueError(f"{word} is not a permutation word of degree {k}")
+            raise ValueError(f"{tuple(word)} is not a permutation word of degree {k}")
         # sum the column before storing it, so that a cancelling face pair
         # never occupies a slot in a row dict
         col: dict[int, int] = {}
         for f, sign in zip(faces(w), _SIGNS):
             i = rows.get(f)
             if i is None:
-                raise ValueError(f"face {tuple(f)} of {word} is outside the target basis")
+                raise ValueError(f"face {tuple(f)} of {tuple(w)} is outside the target basis")
             col[i] = col.get(i, 0) + sign
         for i, v in col.items():
             if v:
@@ -93,15 +99,20 @@ class ChainComplex:
     """
     Graded bases of permutation words with exact boundary matrices.
 
-    ``basis(d)`` is the ordered basis at degree ``d``; ``boundary_matrix(d)``
-    maps degree ``d`` to degree ``d-1`` for ``min_degree < d <= max_degree``;
-    it is the :func:`face_matrix` of the basis, so a basis that is not closed
-    under faces raises ``ValueError``.  Instances are immutable after
-    construction.
+    The words are stored as given: :func:`perm_complex` and
+    :func:`quotient_complex` give byte words.  ``basis(d)`` is the ordered
+    basis at degree ``d``, each word as a tuple; ``dimension(d)`` is its
+    length, read without building one.  ``boundary_matrix(d)`` maps degree
+    ``d`` to degree ``d-1`` for ``min_degree < d <= max_degree``; it is the
+    :func:`face_matrix` of the basis, so a basis that is not closed under
+    faces raises ``ValueError``, as does an empty ``bases``.  Instances are
+    immutable after construction.
     """
 
-    def __init__(self, bases: dict[int, tuple[Perm, ...]]):
+    def __init__(self, bases: dict[int, Sequence[Perm] | Sequence[bytes]]):
         self._bases = dict(bases)
+        if not self._bases:
+            raise ValueError("a chain complex needs at least one degree")
         self.min_degree = min(self._bases)
         self.max_degree = max(self._bases)
         if set(self._bases) != set(range(self.min_degree, self.max_degree + 1)):
@@ -111,13 +122,16 @@ class ChainComplex:
             for d in range(self.min_degree + 1, self.max_degree + 1)
         }
 
-    def basis(self, d: int) -> tuple[Perm, ...]:
+    def _stored(self, d: int) -> Sequence[Perm] | Sequence[bytes]:
         if d not in self._bases:
             raise ValueError(f"degree {d} not present (range {self.min_degree}..{self.max_degree})")
         return self._bases[d]
 
+    def basis(self, d: int) -> tuple[Perm, ...]:
+        return tuple(map(tuple, self._stored(d)))
+
     def dimension(self, d: int) -> int:
-        return len(self.basis(d))
+        return len(self._stored(d))
 
     def boundary_matrix(self, d: int) -> SparseIntMatrix:
         if d not in self._matrices:
@@ -144,19 +158,22 @@ class HomologyGroup:
 def perm_complex(max_degree: int) -> ChainComplex:
     """Full complex: basis at degree ``d`` is the whole symmetric group."""
     _check_cap(max_degree)
-    return ChainComplex({d: tuple(all_perms(d)) for d in range(1, max_degree + 1)})
+    return ChainComplex({d: tuple(map(bytes, all_perms(d))) for d in range(1, max_degree + 1)})
 
 
 def quotient_complex(g: int, side: int, max_degree: int = DEFAULT_DEGREE_CAP) -> ChainComplex:
     """
     Subcomplex of realizable words at genus ``g``.  Realizability is closed
-    under faces, so the boundary restricts; construction checks it.
+    under faces, so the boundary restricts; construction checks it.  The
+    bases are drawn from the uncached filter, not through the cache of
+    :func:`~arccalc.surfaces.realizable_perms`, which would hold them as
+    tuples for the life of the process.
     """
     if g < 2:
         raise ValueError("quotient complex needs genus >= 2")
     _check_cap(max_degree)
     return ChainComplex(
-        {d: realizable_perms(d, side, g) for d in range(1, max_degree + 1)}
+        {d: tuple(map(bytes, _realizable_words(d, side, g))) for d in range(1, max_degree + 1)}
     )
 
 

@@ -26,14 +26,21 @@ from dataclasses import dataclass
 from .complexes import MAX_DEGREE_CAP, face_matrix, quotient_complex
 from .intmat import SparseIntMatrix
 from .perms import _ID, Perm, faces
-from .surfaces import SIDES, SurfaceType, _cut_surface, _genera, _realizable
+from .surfaces import SurfaceType, _check_side, _cut_surface, _genera, _realizable
 
 
 @dataclass(frozen=True, slots=True)
 class Summand:
-    perm: Perm
+    """A summand of a column: its word, held as bytes, with its genus and label."""
+
+    word: bytes
     genus: int
     stabilizer: SurfaceType
+
+    @property
+    def perm(self) -> Perm:
+        """The word as a tuple."""
+        return tuple(self.word)
 
 
 @dataclass(frozen=True)
@@ -67,8 +74,7 @@ def e1_skeleton(ambient: SurfaceType, side: int, max_p: int) -> E1Page:
     >>> page.vanishing_bound
     5
     """
-    if side not in SIDES:
-        raise ValueError("side must be 1 or 2")
+    _check_side(side)
     if ambient.r < side:
         raise ValueError(f"{ambient} has too few boundary circles for side {side}")
     if ambient.g < 2:
@@ -83,7 +89,7 @@ def e1_skeleton(ambient: SurfaceType, side: int, max_p: int) -> E1Page:
             if _realizable(w, side, ambient.g, s):
                 if s not in labels:
                     labels[s] = _cut_surface(ambient, w, side, s)
-                col.append(Summand(w, s, labels[s]))
+                col.append(Summand(bytes(w), s, labels[s]))
         columns.append(tuple(col))
     return E1Page(ambient, side, tuple(columns), 2 * ambient.g - 2 + side)
 
@@ -96,7 +102,7 @@ def d1_matrix(page: E1Page, p: int) -> SparseIntMatrix:
     """
     if p < 2:
         raise ValueError("the first differential needs p >= 2")
-    return face_matrix([s.perm for s in page.column(p)], [s.perm for s in page.column(p - 1)])
+    return face_matrix([s.word for s in page.column(p)], [s.word for s in page.column(p - 1)])
 
 
 def quotient_boundary_matrix(page: E1Page, p: int) -> SparseIntMatrix:
@@ -122,11 +128,11 @@ def d1_follows_cancellation(page: E1Page, p: int, m: SparseIntMatrix) -> bool:
     sources = page.column(p)
     if (m.nrows, m.ncols) != (len(targets), len(sources)):
         return False
-    index = {t.perm: i for i, t in enumerate(targets)}
+    index = {t.word: i for i, t in enumerate(targets)}
     rows = m._rows
     found = 0
     for j, s in enumerate(sources):
-        for face, c in cancellation_report(s.perm).items():
+        for face, c in cancellation_report(s.word).items():
             i = index.get(face)
             if i is None or rows[i].get(j) != c:
                 return False
@@ -134,10 +140,11 @@ def d1_follows_cancellation(page: E1Page, p: int, m: SparseIntMatrix) -> bool:
     return found == m.nnz
 
 
-def cancellation_report(word: Perm) -> dict[Perm, int]:
+def cancellation_report(word: Perm | bytes) -> dict[Perm, int] | dict[bytes, int]:
     """
     Signed faces surviving the twist cancellations, summed per face word
-    into a ``{face: coefficient}`` dict with no zero coefficient.
+    into a ``{face: coefficient}`` dict with no zero coefficient.  Bytes
+    in, bytes out; otherwise tuples, as in :func:`~arccalc.perms.faces`.
 
     Two successive faces are equal exactly when the word carries adjacent
     values at adjacent positions (in either order); such a pair enters with
@@ -149,9 +156,11 @@ def cancellation_report(word: Perm) -> dict[Perm, int]:
     {(1, 0): 1}
     >>> sorted(cancellation_report((0, 3, 1, 2)).items())
     [((0, 1, 2), -1), ((2, 0, 1), 1)]
+    >>> cancellation_report(bytes((0, 2, 1)))
+    {b'\\x01\\x00': 1}
     """
     try:
-        w = bytes(word)
+        w = word if isinstance(word, bytes) else bytes(word)
     except ValueError:
         w = b""  # an entry outside range(256)
     k = len(w)
@@ -164,14 +173,17 @@ def cancellation_report(word: Perm) -> dict[Perm, int]:
     alive = [True] * k
     j = 0
     while j < k - 1:
-        if alive[j] and alive[j + 1] and abs(word[j] - word[j + 1]) == 1:
+        if alive[j] and alive[j + 1] and abs(w[j] - w[j + 1]) == 1:
             alive[j] = alive[j + 1] = False
             j += 2
         else:
             j += 1
-    # summed on byte words; only the surviving faces become tuples
+    # summed on byte words; for a word of another kind only the surviving
+    # faces become tuples
     acc: dict[bytes, int] = {}
     for j, f in enumerate(faces(w)):
         if alive[j]:
             acc[f] = acc.get(f, 0) + (-1) ** j
+    if w is word:
+        return {f: c for f, c in acc.items() if c}
     return {tuple(f): c for f, c in acc.items() if c}

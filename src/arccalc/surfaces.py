@@ -27,6 +27,12 @@ from .perms import _ID, Perm, all_perms, as_perm, cycle_count, hat
 SIDES = (1, 2)
 
 
+def _check_side(side: int) -> None:
+    """Reject a ``side`` outside :data:`SIDES`; a ``bool`` is not a side, though it is an int."""
+    if isinstance(side, bool) or side not in SIDES:
+        raise ValueError(f"side must be 1 or 2, got {side!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class SurfaceType:
     """Genus ``g`` and boundary count ``r`` of a compact oriented surface."""
@@ -55,8 +61,7 @@ class ArcClass:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "perm", as_perm(self.perm))
-        if isinstance(self.side, bool) or self.side not in SIDES:
-            raise ValueError(f"side must be 1 or 2, got {self.side}")
+        _check_side(self.side)
         # hat takes side 1 one degree up, and a byte word stops at degree 256
         if len(self.perm) > 254 + self.side:
             raise ValueError(f"degree {len(self.perm)} is over {254 + self.side}, the limit on side {self.side}")
@@ -161,19 +166,28 @@ def realizable(a: ArcClass, g: int) -> bool:
     return _realizable(a.perm, a.side, g, simplex_genus(a))
 
 
-@lru_cache(maxsize=None)
+# typed, so that a bool side misses the entry of its int and reaches the check
+@lru_cache(maxsize=None, typed=True)
 def realizable_perms(p: int, side: int, g: int) -> tuple[Perm, ...]:
     """
     All degree-``p`` words realizable at genus ``g``, in lexicographic order.
     The full symmetric group is returned whenever ``p <= g - 1 + side``.
     """
+    return tuple(_realizable_words(p, side, g))
+
+
+def _realizable_words(p: int, side: int, g: int) -> Iterator[Perm]:
+    """
+    The words of :func:`realizable_perms`, uncached and one at a time, for a
+    caller that stores them in a form of its own.  The arguments are checked
+    before the first word is drawn.
+    """
     if p < 1:
         raise ValueError("degree must be >= 1")
-    if side not in SIDES:
-        raise ValueError("side must be 1 or 2")
+    _check_side(side)
     if p <= g - 1 + side:
-        return tuple(all_perms(p))
-    return tuple(w for w, s in _genera(p, side) if _realizable(w, side, g, s))
+        return all_perms(p)
+    return (w for w, s in _genera(p, side) if _realizable(w, side, g, s))
 
 
 def genus_counts(p: int, side: int) -> tuple[int, ...]:
@@ -194,8 +208,7 @@ def genus_counts(p: int, side: int) -> tuple[int, ...]:
     """
     if p < 1:
         raise ValueError("degree must be >= 1")
-    if side not in SIDES:
-        raise ValueError("side must be 1 or 2")
+    _check_side(side)
     n = p + 3 - side
     # row n of c, by c(m + 1, k) = m c(m, k) + c(m, k - 1)
     row = [1]

@@ -465,13 +465,14 @@ class TestSuites:
 
     def test_e1_a_failed_d1_check_fails_the_report(self, monkeypatch, capsys):
         # a cancellation rule that loses one term of one word, as a broken
-        # rule would: the word's d1 column keeps it
+        # rule would: the word's d1 column keeps it.  The check passes the
+        # summands' byte words, so the word is matched as one
         from arccalc import e1page
         from arccalc.surfaces import SurfaceType
 
         page = e1page.e1_skeleton(SurfaceType(3, 2), 1, 5)
         report = e1page.cancellation_report
-        word = next(s.perm for s in page.column(5) if report(s.perm))
+        word = next(s.word for s in page.column(5) if report(s.word))
 
         def broken(w):
             out = report(w)

@@ -89,6 +89,27 @@ class TestConstruction:
         with pytest.raises(ValueError, match="repeated"):
             face_matrix([(0, 2, 1)], [(0, 1), (1, 0), (0, 1)])
 
+    def test_face_matrix_names_byte_words_as_tuples(self):
+        targets = [b"\0\1", b"\1\0"]
+        cases = [
+            ([b"\0\2\2"], targets, "face (1, 1) of (0, 2, 2) is outside"),
+            ([b"\0\2\1", b"\1\0"], targets, "(1, 0) is not a permutation word of degree 3"),
+            ([b"\0\2\1"], [*targets, b"\1\1"], "target (1, 1) is not a permutation word"),
+            ([b"\0\2\1"], [*targets, b"\0\1"], "target (0, 1) is repeated"),
+        ]
+        for words, targets_, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)) as info:
+                face_matrix(words, targets_)
+            assert "b'" not in str(info.value)
+
+    def test_an_empty_complex_is_named(self):
+        with pytest.raises(ValueError, match="at least one degree"):
+            complexes.ChainComplex({})
+
+    def test_a_bool_side_raises(self):
+        with pytest.raises(ValueError, match="side must be 1 or 2"):
+            quotient_complex(2, True, 3)
+
     def test_basis_is_lex_sorted(self):
         c = quotient_complex(2, 2, 5)
         for d in range(1, 6):
@@ -111,6 +132,30 @@ def referee_face_matrix(words, targets):
             for j, v in enumerate(w)
         ),
     )
+
+
+class TestByteBases:
+    """The library's complexes hold byte words and read them out as tuples."""
+
+    @staticmethod
+    def held_as_bytes(c):
+        return all(type(w) is bytes for d in range(c.min_degree, c.max_degree + 1) for w in c._bases[d])
+
+    def test_perm_complex(self):
+        c = perm_complex(7)
+        assert self.held_as_bytes(c)
+        for d in range(1, 8):
+            assert c.basis(d) == tuple(all_perms(d))
+            assert c.dimension(d) == len(c.basis(d))
+
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_quotient_complex(self, g, side):
+        c = quotient_complex(g, side, 7)
+        assert self.held_as_bytes(c)
+        for d in range(1, 8):
+            assert c.basis(d) == realizable_perms(d, side, g)
+            assert c.dimension(d) == len(c.basis(d))
 
 
 class TestFaceRanks:

@@ -47,6 +47,20 @@ def referee(page, p, m):
 
 
 class TestSkeleton:
+    @pytest.mark.parametrize("side", [True, False, 0, 3])
+    def test_a_side_outside_sides_raises(self, side):
+        # True once made a page whose side read True
+        with pytest.raises(ValueError, match="side must be 1 or 2"):
+            e1_skeleton(SurfaceType(3, 2), side, 2)
+
+    def test_summands_hold_byte_words_and_read_tuples(self):
+        page = e1_skeleton(SurfaceType(3, 2), 1, 5)
+        for p in range(1, 6):
+            words = [s.word for s in page.column(p)]
+            assert all(type(w) is bytes for w in words)
+            assert [s.perm for s in page.column(p)] == [tuple(w) for w in words]
+            assert [s.perm for s in page.column(p)] == list(realizable_perms(p, 1, 3))
+
     def test_vanishing_bound(self):
         assert e1_skeleton(SurfaceType(3, 2), 1, 1).vanishing_bound == 5
         assert e1_skeleton(SurfaceType(2, 2), 2, 1).vanishing_bound == 4
@@ -173,6 +187,14 @@ class TestCancellation:
 
     def test_single_arc_has_no_faces(self):
         assert cancellation_report((0,)) == {}
+        assert cancellation_report(b"\0") == {}
+
+    def test_a_byte_word_gets_the_same_report_with_byte_keys(self):
+        for p in range(1, 7):
+            for w in all_perms(p):
+                got = cancellation_report(bytes(w))
+                assert all(type(f) is bytes for f in got), w
+                assert {tuple(f): c for f, c in got.items()} == cancellation_report(w), w
 
     @pytest.mark.parametrize("word", [(0, 5, 1), (0, 0), (2, 1, 0, 0), ()])
     def test_a_word_that_is_not_a_permutation_raises(self, word):
@@ -255,7 +277,9 @@ class TestStreamedCheck:
         targets = {s.perm for s in page.column(self.P - 1)}
         outside = next(w for w in all_perms(self.P - 1) if w not in targets)
         report = e1page.cancellation_report
-        monkeypatch.setattr(e1page, "cancellation_report", lambda w: {**report(w), outside: 1})
+        # the face is added in the kind of word asked about: bytes from the
+        # check, tuples from the referee
+        monkeypatch.setattr(e1page, "cancellation_report", lambda w: {**report(w), type(w)(outside): 1})
         self.rejects(page, d1_matrix(page, self.P))
 
 

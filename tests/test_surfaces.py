@@ -62,6 +62,16 @@ class TestTypes:
         with pytest.raises(ValueError, match="side must be 1 or 2"):
             ArcClass((1, 0), False)
 
+    @pytest.mark.parametrize("side", [True, False, 0, 3])
+    def test_the_word_level_entries_reject_a_side_outside_sides(self, side):
+        # True passed as side 1 below ArcClass; the int entry is filled
+        # first, since a bool side once hit the cache entry of its int
+        realizable_perms(3, 1, 2)
+        with pytest.raises(ValueError, match="side must be 1 or 2"):
+            realizable_perms(3, side, 2)
+        with pytest.raises(ValueError, match="side must be 1 or 2"):
+            genus_counts(3, side)
+
 
 class TestNeighborhoodBoundary:
     def test_anchor_values(self):
