@@ -89,7 +89,7 @@ def e1_skeleton(ambient: SurfaceType, side: int, max_p: int) -> E1Page:
             if _realizable(w, side, ambient.g, s):
                 if s not in labels:
                     labels[s] = _cut_surface(ambient, w, side, s)
-                col.append(Summand(bytes(w), s, labels[s]))
+                col.append(Summand(w, s, labels[s]))
         columns.append(tuple(col))
     return E1Page(ambient, side, tuple(columns), 2 * ambient.g - 2 + side)
 

@@ -14,6 +14,9 @@ computed on bytes, a face by one ``bytes.translate`` that renumbers through a
 table and deletes the face's value, so a word of degree over 256, an entry
 outside ``range(256)``, or a :func:`hat` argument of degree over 255 raises
 ``ValueError`` rather than wrapping.  The supported degrees stop at 8.
+:func:`block_faces` is the block form of :func:`faces` on the same tables:
+face ``j`` of a whole block of byte words of one degree, taken in one
+``map(bytes.translate, ...)`` over the block's letters at position ``j``.
 
 Composition convention: ``compose(a, b)`` applies ``b`` first, so
 ``compose(a, b)(x) == a(b(x))``.
@@ -180,6 +183,39 @@ def faces(a: Sequence[int]) -> list[Perm] | list[bytes]:
     w = a if isinstance(a, bytes) else bytes(a)
     out = [w.translate(_RENUMBER[v], _DELETE[v]) for v in w]
     return out if w is a else [tuple(f) for f in out]
+
+
+def block_faces(words: Sequence[bytes]) -> Iterator[list[bytes]]:
+    """
+    Every face of a block of byte words of one degree ``k``, a face index at
+    a time: the ``j``-th list yielded holds face ``j`` of each word, in
+    order, so that ``list(block_faces(words))[j][i] == faces(words[i])[j]``.
+    Each list is made when it is drawn, so a caller that is done with one
+    before drawing the next holds one at a time.
+
+    The letters at position ``j`` of the whole block are the slice
+    ``b"".join(words)[j::k]``, and face ``j`` of every word is one
+    ``map(bytes.translate, ...)`` over them, on the tables of :func:`faces`.
+    Words of unequal degree raise ``ValueError``, as do the degrees that
+    :func:`faces` rejects, before the first list is drawn.
+
+    >>> list(block_faces([bytes((0, 2, 1)), bytes((1, 0, 2))]))
+    [[b'\\x01\\x00', b'\\x00\\x01'], [b'\\x00\\x01', b'\\x00\\x01'], [b'\\x00\\x01', b'\\x01\\x00']]
+    """
+    if not words:
+        return iter(())
+    k = len(words[0])
+    if k < 2:
+        raise ValueError("no faces below degree 2")
+    if k > 256:
+        raise ValueError(f"faces of degree {k}: a byte word has degree at most 256")
+    if set(map(len, words)) != {k}:
+        raise ValueError(f"a block of faces needs words of one degree, {k}")
+    joined = b"".join(words)
+    return (
+        list(map(bytes.translate, words, map(_RENUMBER.__getitem__, col), map(_DELETE.__getitem__, col)))
+        for col in (joined[j::k] for j in range(k))
+    )
 
 
 def face(a: Sequence[int], j: int) -> Perm | bytes:

@@ -114,9 +114,12 @@ def _word_genus(perm: Perm, side: int) -> int:
     return _genus(perm, side, boundary_count(perm, side))
 
 
-def _genera(p: int, side: int) -> Iterator[tuple[Perm, int]]:
-    """Each degree-``p`` word in lexicographic order, with its simplex genus."""
-    return ((w, _word_genus(w, side)) for w in all_perms(p))
+def _genera(p: int, side: int) -> Iterator[tuple[bytes, int]]:
+    """
+    Each degree-``p`` word in lexicographic order, as the byte word whose
+    boundary was counted, with its simplex genus.
+    """
+    return ((w, _word_genus(w, side)) for w in map(bytes, all_perms(p)))
 
 
 def _realizable(perm: Perm, side: int, g: int, s: int) -> bool:
@@ -173,20 +176,20 @@ def realizable_perms(p: int, side: int, g: int) -> tuple[Perm, ...]:
     All degree-``p`` words realizable at genus ``g``, in lexicographic order.
     The full symmetric group is returned whenever ``p <= g - 1 + side``.
     """
-    return tuple(_realizable_words(p, side, g))
+    return tuple(map(tuple, _realizable_words(p, side, g)))
 
 
-def _realizable_words(p: int, side: int, g: int) -> Iterator[Perm]:
+def _realizable_words(p: int, side: int, g: int) -> Iterator[bytes]:
     """
-    The words of :func:`realizable_perms`, uncached and one at a time, for a
-    caller that stores them in a form of its own.  The arguments are checked
-    before the first word is drawn.
+    The words of :func:`realizable_perms` as byte words, uncached and one at
+    a time, for a caller that stores them in a form of its own.  The
+    arguments are checked before the first word is drawn.
     """
     if p < 1:
         raise ValueError("degree must be >= 1")
     _check_side(side)
     if p <= g - 1 + side:
-        return all_perms(p)
+        return map(bytes, all_perms(p))
     return (w for w, s in _genera(p, side) if _realizable(w, side, g, s))
 
 

@@ -22,7 +22,7 @@ from arccalc.complexes import (
     verify_quotient_homotopy,
 )
 from arccalc.intmat import SparseIntMatrix, _unit_echelon, snf
-from arccalc.perms import FormalSum, all_perms, boundary, hat, identity
+from arccalc.perms import FormalSum, all_perms, boundary, faces, hat, identity
 from arccalc.surfaces import _neighborhood_boundary, boundary_count, realizable_perms
 
 
@@ -101,6 +101,17 @@ class TestConstruction:
             with pytest.raises(ValueError, match=re.escape(message)) as info:
                 face_matrix(words, targets_)
             assert "b'" not in str(info.value)
+
+    def test_a_list_changed_after_construction_changes_nothing(self):
+        # each degree is held as a tuple: appending to the caller's list
+        # changes neither the dimension nor the boundary matrix
+        twos = [(0, 1)]
+        c = complexes.ChainComplex({1: [(0,)], 2: twos})
+        twos.append((1, 0))
+        assert c.dimension(2) == 1 and c.basis(2) == ((0, 1),)
+        assert c.boundary_matrix(2).to_dense() == [[0]]
+        held = tuple(map(bytes, all_perms(3)))
+        assert complexes.ChainComplex({3: held})._bases[3] is held
 
     def test_an_empty_complex_is_named(self):
         with pytest.raises(ValueError, match="at least one degree"):
@@ -493,10 +504,102 @@ class TestHomotopy:
         for lift in (hat, self._append_fixed_point):
             for d in range(2, 7):
                 for w in all_perms(d):
-                    verdict = complexes._contracts(bytes(w), lift)
+                    b = bytes(w)
+                    verdict = complexes._contracts(b, lift(b), map(lift, faces(b)))
                     assert verdict is not self._fails_by_formal_sums(w, lift), (w, lift)
                     verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+class TestBlockPass:
+    """The contraction check proves a block of one degree termwise, and
+    decides a block that fails word by word by the signed dict sum."""
+
+    def test_broken_words_on_both_sides_of_a_block_boundary(self, monkeypatch):
+        # two words of degree 7 break on each side of its first block
+        # boundary, and one degree-6 word breaks the degree-7 words that
+        # have it as a face, in several blocks
+        sevens = list(all_perms(7))
+        size = complexes._BLOCK
+        assert 3 * size <= len(sevens)
+        near = {sevens[i] for i in (size - 3, size - 1, size, size + 2)}
+        broken = set(map(bytes, near)) | {bytes((5, 0, 4, 1, 3, 2))}
+
+        def lift(t):
+            # bytes in, bytes out; a tuple, from the FormalSum route, gives a tuple
+            return TestHomotopy._append_fixed_point(t) if bytes(t) in broken else hat(t)
+
+        monkeypatch.setattr(complexes, "hat", lift)
+        rep = verify_homotopy(7)
+        expected = [
+            w for d in range(2, 8) for w in all_perms(d)
+            if TestHomotopy()._fails_by_formal_sums(w, lift)
+        ]
+        assert {w for w in expected if len(w) == 7} >= near
+        assert len({sevens.index(w) // size for w in expected if len(w) == 7}) >= 3
+        assert rep.checked == sum(factorial(d) for d in range(2, 8))
+        assert list(rep.failures) == expected
+
+    def test_the_prepend_lift_is_proven_termwise(self, monkeypatch):
+        # no block of the true lift reaches the signed dict sum
+        def unreachable(*args):
+            raise AssertionError("a block of the prepend lift was decided word by word")
+
+        monkeypatch.setattr(complexes, "_contracts", unreachable)
+        assert verify_homotopy(6).ok
+        assert verify_homotopy_sampled(7, 300).ok
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_each_word_and_face_is_lifted_once(self, monkeypatch, broken):
+        # a word of degree d and its d faces are lifted once each, whether
+        # its block is proven termwise or decided by the dict sum
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return TestHomotopy._append_fixed_point(t) if broken else hat(t)
+
+        monkeypatch.setattr(complexes, "hat", counting)
+        assert verify_homotopy(6).ok is not broken
+        assert len(calls) == sum(factorial(d) * (d + 1) for d in range(2, 7))
+
+    def test_a_lift_that_breaks_one_pair_of_terms_fails(self):
+        # each pair the termwise pass compares, broken alone: w lifts to
+        # hat(v) and its faces to the lifts of the faces of v, so only face 0
+        # of the lift, v, misses w; or one face j of w lifts to hat of face j
+        # of v, so only face j + 1 of the lift misses it
+        w, v = bytes((1, 3, 0, 2)), bytes((2, 0, 3, 1))
+        fw, fv = faces(w), faces(v)
+        assert len(set(fw)) == len(w) and all(f != g for f, g in zip(fw, fv))
+        tables = [{w: hat(v), **{f: hat(g) for f, g in zip(fw, fv)}}]
+        tables += [{f: hat(g)} for f, g in zip(fw, fv)]
+        for table in tables:
+
+            def lift(t):
+                return table.get(t) or hat(t)
+
+            assert complexes._contraction_report([tuple(w)], lift).failures == (tuple(w),), table
+
+    def test_uneven_lifts_whose_joins_match_fail(self):
+        # face 0 of the two words occurs once among their faces, so a lift
+        # that moves one byte from the second lifted face to the first keeps
+        # every joined column of the block equal, and only the word-by-word
+        # degree check tells; so does one that moves a byte between the
+        # lifts of the words
+        a, b = bytes((0, 2, 1, 3)), bytes((0, 2, 3, 1))
+        f1, f2 = faces(a)[0], faces(b)[0]
+        assert [f for w in (a, b) for f in faces(w)].count(f1) == 1
+        assert [f for w in (a, b) for f in faces(w)].count(f2) == 1
+        for x, y in ((f1, f2), (a, b)):
+            uneven = {x: hat(x) + hat(y)[:1], y: hat(y)[1:]}
+
+            def lift(t):
+                return uneven.get(t) or hat(t)
+
+            assert lift(x) + lift(y) == hat(x) + hat(y)
+            for w in (a, b):
+                assert not complexes._contracts(w, lift(w), map(lift, faces(w)))
+            assert complexes._contraction_report([tuple(a), tuple(b)], lift).failures == (tuple(a), tuple(b))
 
 
 class TestQuotientLiftCap:

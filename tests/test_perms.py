@@ -8,6 +8,7 @@ from arccalc.perms import (
     FormalSum,
     all_perms,
     as_perm,
+    block_faces,
     boundary,
     compose,
     cycle_count,
@@ -207,6 +208,25 @@ class TestByteWords:
         expected = [reference_face(w, j) for j in range(len(w))]
         assert faces(w) == expected
         assert faces(bytes(w)) == [bytes(f) for f in expected]
+
+    @given(
+        st.integers(2, 256).flatmap(
+            lambda k: st.lists(st.permutations(range(k)).map(tuple), min_size=1, max_size=4)
+        )
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_block_faces_match_the_reference_at_every_degree(self, ws):
+        # face j of a block of one degree, word by word, is the reference
+        # face j of each word, at every degree a byte word takes
+        got = list(block_faces([bytes(w) for w in ws]))
+        assert got == [[bytes(reference_face(w, j)) for w in ws] for j in range(len(ws[0]))]
+        assert all(type(f) is bytes for col in got for f in col)
+
+    def test_block_faces_limits(self):
+        assert list(block_faces([])) == []
+        for bad in ([b"\0"], [bytes(257)], [b"\0\1", b"\0\1\2"], [b"\0\1\2", b"\0\1"]):
+            with pytest.raises(ValueError):
+                block_faces(bad)
 
     def test_other_sequences_give_tuples(self):
         for a in (bytearray((1, 0, 2)), range(3), memoryview(bytes((1, 0, 2)))):

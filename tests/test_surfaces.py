@@ -203,10 +203,11 @@ class TestRealizability:
 class TestGenusCounts:
     @pytest.mark.parametrize("side", [1, 2])
     def test_matches_enumeration(self, side):
-        # the genus pass gives each word of S_p once, in lexicographic order
+        # the genus pass gives each word of S_p once, in lexicographic order,
+        # as the byte word whose boundary it counted
         for p in range(1, 9):
             words, genera = zip(*_genera(p, side))
-            assert words == tuple(all_perms(p))
+            assert words == tuple(map(bytes, all_perms(p)))
             assert dict(enumerate(genus_counts(p, side))) == Counter(genera), p
 
     def test_counts_realizable_words(self):
