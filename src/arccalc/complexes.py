@@ -13,6 +13,16 @@ only words realizable by arc systems on a genus-``g`` surface, and stays
 exact in a range that grows with ``g``.  Homology is computed from Smith
 normal forms, so Betti numbers and torsion are exact.
 
+A :class:`ChainComplex` builds and holds every basis and boundary matrix.
+:func:`exactness_report` builds none: it walks the degrees up and keeps
+one boundary matrix and the basis below it alive.  At degree ``d`` it holds
+``∂_d`` and basis ``d``; it reduces ``∂_d`` and drops it, builds
+``∂_{d+1}`` over basis ``d`` and drops that basis, and reduces
+``∂_{d+1}``, which it reduces again as the boundary out of ``d + 1``.  The
+top basis is never held, since :func:`face_matrix` takes its columns from
+any iterable.  Both routes read one per-degree step, so :func:`homology`
+and the report make the same ``snf`` calls on the same matrices.
+
 Boundary matrices and the contraction checks take their faces from one
 routine, :func:`~arccalc.perms.faces`, on byte-string words (byte ``i`` is
 ``w(i)``); the contraction's lift prepends a fixed point with
@@ -38,7 +48,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .intmat import SparseIntMatrix, snf
+from .intmat import SNFResult, SparseIntMatrix, snf
 from .perms import Perm, all_perms, block_faces, faces, hat, identity
 from .surfaces import _realizable, _realizable_words, _word_genus, realizable_perms
 
@@ -51,28 +61,37 @@ def _check_cap(max_degree: int, low: int = 1) -> None:
         raise ValueError(f"max_degree must be in [{low}, {MAX_DEGREE_CAP}], got {max_degree}")
 
 
+def _check_genus(g: int) -> None:
+    if g < 2:
+        raise ValueError("quotient complex needs genus >= 2")
+
+
 # the sign of face j, for each of the at most 256 faces of a byte word
 _SIGNS = (1, -1) * 128
 
 
 def face_matrix(
-    words: Sequence[Perm] | Sequence[bytes], targets: Sequence[Perm] | Sequence[bytes]
+    words: Iterable[Perm] | Iterable[bytes], targets: Sequence[Perm] | Sequence[bytes]
 ) -> SparseIntMatrix:
     """
-    Signed face matrix: column ``c`` is the alternating face sum of
-    ``words[c]``, and the row of a face is its position in ``targets``.
-    A column or target that is not a permutation word of the right degree,
-    a repeated target, or a face missing from ``targets`` raises
-    ``ValueError``; a message names each word as a tuple, whichever kind
-    came in.
+    Signed face matrix: column ``c`` is the alternating face sum of the
+    ``c``-th word of ``words``, and the row of a face is its position in
+    ``targets``.  ``words`` may be any iterable, a generator included: it
+    is read once, and its columns are counted as they come, so a basis that
+    is only ever a matrix's columns need never be held.  A column or target
+    that is not a permutation word of the right degree, a repeated target,
+    or a face missing from ``targets`` raises ``ValueError``; a message
+    names each word as a tuple, whichever kind came in.
 
     >>> face_matrix([(0, 2, 1)], [(0, 1), (1, 0)]).to_dense()
     [[0], [1]]
     """
-    m = SparseIntMatrix(len(targets), len(words))
-    if not words:
+    m = SparseIntMatrix(len(targets), 0)
+    columns = iter(words)
+    first = next(columns, None)
+    if first is None:
         return m
-    k = len(words[0])
+    k = len(first)
     if k < 2:
         raise ValueError("no faces below degree 2")
     letters = set(range(k - 1))
@@ -83,7 +102,7 @@ def face_matrix(
         if rows.setdefault(bytes(f), i) != i:
             raise ValueError(f"target {tuple(f)} is repeated")
     out = m._rows
-    for c, word in enumerate(words):
+    for c, word in enumerate(itertools.chain((first,), columns)):
         # a word that is not a permutation has a face outside the targets: a
         # repeated value makes a short face, an entry from k on a high one
         try:
@@ -103,6 +122,7 @@ def face_matrix(
         for i, v in col.items():
             if v:
                 out[i][c] = v
+    m.ncols = c + 1
     return m
 
 
@@ -183,10 +203,23 @@ def quotient_complex(g: int, side: int, max_degree: int = DEFAULT_DEGREE_CAP) ->
     :func:`~arccalc.surfaces.realizable_perms`, which would hold them as
     tuples for the life of the process.
     """
-    if g < 2:
-        raise ValueError("quotient complex needs genus >= 2")
+    _check_genus(g)
     _check_cap(max_degree)
     return ChainComplex({d: tuple(_realizable_words(d, side, g)) for d in range(1, max_degree + 1)})
+
+
+def _homology_at(dimension: int, out: SNFResult | None, into: SparseIntMatrix | None) -> HomologyGroup:
+    """
+    Homology at a degree of ``dimension`` basis words, from ``out``, the
+    Smith normal form of the boundary out of the degree, and ``into``, the
+    boundary into it, each ``None`` where that map is zero.  ``into`` is
+    reduced here, cleared by the unit pivot columns of ``out``.
+    """
+    out_rank, cleared = (0, frozenset()) if out is None else (out.rank, out.unit_pivot_columns)
+    if into is None:
+        return HomologyGroup(dimension - out_rank, ())
+    res = snf(into, skip_rows=cleared)
+    return HomologyGroup(dimension - out_rank - res.rank, tuple(f for f in res.invariant_factors if f > 1))
 
 
 def homology(c: ChainComplex, d: int) -> HomologyGroup:
@@ -207,19 +240,9 @@ def homology(c: ChainComplex, d: int) -> HomologyGroup:
     """
     if d < c.min_degree or d > c.max_degree:
         raise ValueError(f"degree {d} not present (range {c.min_degree}..{c.max_degree})")
-    out_rank, cleared = 0, frozenset()
-    if d > c.min_degree:
-        out = snf(c.boundary_matrix(d))
-        out_rank, cleared = out.rank, out.unit_pivot_columns
-    if d < c.max_degree:
-        into = snf(c.boundary_matrix(d + 1), skip_rows=cleared)
-        in_rank = into.rank
-        torsion = tuple(f for f in into.invariant_factors if f > 1)
-    else:
-        in_rank = 0
-        torsion = ()
-    betti = c.dimension(d) - out_rank - in_rank
-    return HomologyGroup(betti, torsion)
+    out = snf(c.boundary_matrix(d)) if d > c.min_degree else None
+    into = c.boundary_matrix(d + 1) if d < c.max_degree else None
+    return _homology_at(c.dimension(d), out, into)
 
 
 def exactness_report(g: int, side: int, max_degree: int | None = None) -> list[dict]:
@@ -230,15 +253,36 @@ def exactness_report(g: int, side: int, max_degree: int | None = None) -> list[d
     starts cutting the basis down).  Out-of-range rows are informational.
     The rows cover degrees ``2 .. max_degree - 1``, so ``max_degree`` below
     3 would check nothing and raises ``ValueError``.
+
+    The rows equal :func:`homology` of :func:`quotient_complex` at each
+    degree, with the same ``snf`` calls on the same matrices in the same
+    order, but no :class:`ChainComplex` is built: the report walks the
+    degrees up and holds one boundary matrix at a time.  At degree ``d`` it
+    holds ``∂_d`` and basis ``d``.  It reduces ``∂_d`` and drops it, draws
+    basis ``d + 1`` from the uncached realizability filter, builds
+    ``∂_{d+1}`` over basis ``d`` and drops basis ``d``, then reduces
+    ``∂_{d+1}`` cleared by the lead columns of ``∂_d``.  That matrix is
+    reduced again, uncleared, as the boundary out of the next degree.  The
+    top basis is never held: its words go straight from the filter into the
+    columns of the last matrix.
     """
     top = g + side - 1
     if max_degree is None:
         max_degree = min(MAX_DEGREE_CAP, max(DEFAULT_DEGREE_CAP, top + 1))
     _check_cap(max_degree, 3)
-    c = quotient_complex(g, side, max_degree)
+    _check_genus(g)
+    basis = tuple(_realizable_words(2, side, g))
+    boundary = face_matrix(basis, tuple(_realizable_words(1, side, g)))
     rows = []
     for d in range(2, max_degree):
-        h = homology(c, d)
+        out = snf(boundary)
+        del boundary
+        words = _realizable_words(d + 1, side, g)
+        above = words if d + 1 == max_degree else tuple(words)
+        dimension = len(basis)
+        boundary = face_matrix(above, basis)
+        basis = above
+        h = _homology_at(dimension, out, boundary)
         rows.append(
             {
                 "degree": d,
@@ -414,8 +458,7 @@ def _quotient_lift_top(g: int, side: int) -> int:
     symmetric group: a top degree over ``MAX_DEGREE_CAP`` raises
     ``ValueError``, as does a genus below 2.
     """
-    if g < 2:
-        raise ValueError("quotient complex needs genus >= 2")
+    _check_genus(g)
     top = g + side - 1
     if top > MAX_DEGREE_CAP:
         raise ValueError(f"quotient lift top degree g+side-1 = {top} is over {MAX_DEGREE_CAP}")

@@ -1,8 +1,11 @@
+import gc
 import os
 import random
 import re
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from functools import cache
 from math import factorial
 
@@ -191,6 +194,48 @@ class TestFaceRanks:
         assert sorted(got.entries()) == sorted(referee_face_matrix(words, targets).entries())
 
 
+class TestStreamedColumns:
+    """``face_matrix`` reads its columns from any iterable, once."""
+
+    @pytest.mark.parametrize(
+        "d, g, side",
+        [*((d, None, None) for d in range(2, 7)), (6, 3, 1)],
+        ids=[*(f"S{d}" for d in range(2, 7)), "g3-side1-d6"],
+    )
+    def test_a_generator_gives_the_matrix_of_the_tuple(self, d, g, side):
+        if g is None:
+            words, targets = tuple(map(bytes, all_perms(d))), tuple(map(bytes, all_perms(d - 1)))
+        else:
+            words, targets = realizable_perms(d, side, g), realizable_perms(d - 1, side, g)
+        streamed = face_matrix((w for w in words), targets)
+        assert streamed == face_matrix(words, targets)
+        assert (streamed.nrows, streamed.ncols) == (len(targets), len(words))
+
+    def test_an_empty_generator_gives_no_columns(self):
+        m = face_matrix((w for w in ()), [(0, 1), (1, 0)])
+        assert (m.nrows, m.ncols) == (2, 0)
+        assert m.is_zero()
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            [(0,)],
+            [(0, 2, 2)],
+            [(0, 2, 1), (1, 0)],
+            [(0, 2, 1), (0, 1, 300)],
+            [b"\0\2\1", b"\0\2\2"],
+        ],
+        ids=["first-short", "first-repeated", "later-short", "later-over-255", "later-bytes"],
+    )
+    def test_a_bad_column_raises_the_text_of_the_tuple(self, words):
+        targets = [(0, 1), (1, 0)]
+        with pytest.raises(ValueError) as from_tuple:
+            face_matrix(tuple(words), targets)
+        with pytest.raises(ValueError) as from_generator:
+            face_matrix((w for w in words), targets)
+        assert str(from_generator.value) == str(from_tuple.value)
+
+
 class TestHomology:
     def test_full_complex_is_exact(self):
         c = perm_complex(7)
@@ -373,6 +418,98 @@ class TestClearing:
             homology(c, d)
         for d in range(c.min_degree + 1, c.max_degree + 1):
             assert c.boundary_matrix(d) == face_matrix(c.basis(d), c.basis(d - 1)), d
+
+
+def homology_rows(g, side):
+    """``exactness_report``'s rows to degree 7 from :func:`homology` of the whole quotient complex."""
+    c = through_degree_7(g, side)
+    rows = []
+    for d in range(2, 7):
+        h = homology(c, d)
+        rows.append(
+            {
+                "degree": d,
+                "betti": h.betti,
+                "torsion": list(h.torsion),
+                "trivial": h.trivial,
+                "guaranteed": d <= g + side - 1,
+            }
+        )
+    return rows
+
+
+class _Watched(SparseIntMatrix):
+    """A matrix with a serial number, which a weak reference can watch."""
+
+    __slots__ = ("serial", "__weakref__")
+
+
+class TestExactnessWalk:
+    """``exactness_report`` walks the degrees, one boundary matrix at a time."""
+
+    @pytest.mark.parametrize("g, side", [p for p in THROUGH_DEGREE_7 if p.values[0] is not None])
+    def test_the_walk_equals_homology_of_the_complex(self, g, side):
+        assert exactness_report(g, side, 7) == homology_rows(g, side)
+
+    @pytest.mark.parametrize("g, side, max_degree", [(2, 1, 3), (4, 2, 7)])
+    def test_each_boundary_is_built_once_and_dropped_before_the_next(self, g, side, max_degree, monkeypatch):
+        built, alive, reduced = [], [], []
+
+        def counting_face_matrix(words, targets):
+            alive.append(sum(ref() is not None for ref in built))
+            plain = face_matrix(words, targets)
+            m = _Watched(0, 0)
+            m.nrows, m.ncols, m._rows, m.serial = plain.nrows, plain.ncols, plain._rows, len(built)
+            built.append(weakref.ref(m))
+            return m
+
+        def counting_snf(m, *args, **kwargs):
+            res = snf(m, *args, **kwargs)
+            reduced.append((m.serial, kwargs.get("skip_rows", frozenset()), res))
+            return res
+
+        monkeypatch.setattr(complexes, "face_matrix", counting_face_matrix)
+        monkeypatch.setattr(complexes, "snf", counting_snf)
+        exactness_report(g, side, max_degree)
+        assert len(built) == max_degree - 1
+        # no boundary is alive when the next one is built, and none is left
+        assert alive == [0] * len(built)
+        assert all(ref() is None for ref in built)
+        # an upper bound only: reducing each boundary once is no regression
+        assert len(reduced) <= 2 * (max_degree - 2)
+        assert {serial for serial, _, _ in reduced} == set(range(max_degree - 1))
+        # a cleared reduction skips the lead columns of the boundary below it;
+        # the first boundary, on S_2, is zero, so the one above is not cleared
+        leads, cleared = {}, 0
+        for serial, skip, res in reduced:
+            if skip:
+                assert skip == leads[serial - 1], serial
+                cleared += 1
+            leads[serial] = res.unit_pivot_columns
+        assert cleared == max_degree - 3
+
+    def test_the_walk_holds_little_beside_the_top_boundary(self):
+        # at g6 side 2 every word through degree 7 is realizable, so the top
+        # boundary is the face matrix of S_7 over S_6; building every basis
+        # and boundary before reducing any peaked at 1.49 times its size
+        top, below = tuple(map(bytes, all_perms(7))), tuple(map(bytes, all_perms(6)))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            m = face_matrix(top, below)
+            size = tracemalloc.get_traced_memory()[0] - before
+            del m, top, below
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            exactness_report(6, 2, 7)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 1.3 * size, (peak, size)
 
 
 class TestHomotopy:
