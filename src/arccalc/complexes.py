@@ -20,8 +20,11 @@ one boundary matrix and the basis below it alive.  At degree ``d`` it holds
 ``∂_{d+1}`` over basis ``d`` and drops that basis, and reduces
 ``∂_{d+1}``, which it reduces again as the boundary out of ``d + 1``.  The
 top basis is never held, since :func:`face_matrix` takes its columns from
-any iterable.  Both routes read one per-degree step, so :func:`homology`
-and the report make the same ``snf`` calls on the same matrices.
+any iterable.  The top matrix keeps only the rows its reduction reads: it
+is reduced once, cleared by the lead columns of the ``∂`` below, so
+:func:`face_matrix` leaves those rows empty (``skip_rows``).  Both routes
+read one per-degree step, so :func:`homology` and the report make the same
+``snf`` calls on the same matrices.
 
 Boundary matrices and the contraction checks take their faces from one
 routine, :func:`~arccalc.perms.faces`, on byte-string words (byte ``i`` is
@@ -71,7 +74,9 @@ _SIGNS = (1, -1) * 128
 
 
 def face_matrix(
-    words: Iterable[Perm] | Iterable[bytes], targets: Sequence[Perm] | Sequence[bytes]
+    words: Iterable[Perm] | Iterable[bytes],
+    targets: Sequence[Perm] | Sequence[bytes],
+    skip_rows: frozenset[int] = frozenset(),
 ) -> SparseIntMatrix:
     """
     Signed face matrix: column ``c`` is the alternating face sum of the
@@ -83,9 +88,20 @@ def face_matrix(
     or a face missing from ``targets`` raises ``ValueError``; a message
     names each word as a tuple, whichever kind came in.
 
+    The rows in ``skip_rows`` are left empty, as ``snf`` with the same
+    ``skip_rows`` treats them: a matrix reduced once, cleared, need not
+    store the rows its reduction never reads.  Every face is still looked
+    up in ``targets``, so a skipped row changes no check, and a skip row
+    outside ``range(len(targets))`` raises ``ValueError``.
+
     >>> face_matrix([(0, 2, 1)], [(0, 1), (1, 0)]).to_dense()
     [[0], [1]]
+    >>> face_matrix([(0, 2, 1)], [(0, 1), (1, 0)], skip_rows=frozenset({1})).to_dense()
+    [[0], [0]]
     """
+    outside = sorted(i for i in skip_rows if not 0 <= i < len(targets))
+    if outside:
+        raise ValueError(f"skip rows {outside} are outside range({len(targets)})")
     m = SparseIntMatrix(len(targets), 0)
     columns = iter(words)
     first = next(columns, None)
@@ -120,7 +136,7 @@ def face_matrix(
                 raise ValueError(f"face {tuple(f)} of {tuple(w)} is outside the target basis")
             col[i] = col.get(i, 0) + sign
         for i, v in col.items():
-            if v:
+            if v and i not in skip_rows:
                 out[i][c] = v
     m.ncols = c + 1
     return m
@@ -262,9 +278,12 @@ def exactness_report(g: int, side: int, max_degree: int | None = None) -> list[d
     basis ``d + 1`` from the uncached realizability filter, builds
     ``∂_{d+1}`` over basis ``d`` and drops basis ``d``, then reduces
     ``∂_{d+1}`` cleared by the lead columns of ``∂_d``.  That matrix is
-    reduced again, uncleared, as the boundary out of the next degree.  The
-    top basis is never held: its words go straight from the filter into the
-    columns of the last matrix.
+    reduced again, uncleared, as the boundary out of the next degree, so it
+    keeps every row.  The top matrix is reduced only once, cleared, so it
+    keeps only the rows its reduction reads: :func:`face_matrix` leaves the
+    rows at the lead columns of the ``∂`` below empty, as ``snf`` skips
+    them.  The top basis is never held: its words go straight from the
+    filter into the columns of the last matrix.
     """
     top = g + side - 1
     if max_degree is None:
@@ -278,9 +297,15 @@ def exactness_report(g: int, side: int, max_degree: int | None = None) -> list[d
         out = snf(boundary)
         del boundary
         words = _realizable_words(d + 1, side, g)
-        above = words if d + 1 == max_degree else tuple(words)
         dimension = len(basis)
-        boundary = face_matrix(above, basis)
+        if d + 1 < max_degree:
+            above = tuple(words)
+            boundary = face_matrix(above, basis)
+        else:
+            # the top is reduced once, cleared, so it stores only the rows
+            # that reduction reads, and its basis is never held
+            above = words
+            boundary = face_matrix(above, basis, skip_rows=out.unit_pivot_columns)
         basis = above
         h = _homology_at(dimension, out, boundary)
         rows.append(

@@ -102,7 +102,9 @@ def d1_matrix(page: E1Page, p: int) -> SparseIntMatrix:
     """
     if p < 2:
         raise ValueError("the first differential needs p >= 2")
-    return face_matrix([s.word for s in page.column(p)], [s.word for s in page.column(p - 1)])
+    # face_matrix reads the columns once, so they come from a generator and
+    # are never held as a list; it indexes the targets, so they are a tuple
+    return face_matrix((s.word for s in page.column(p)), tuple(s.word for s in page.column(p - 1)))
 
 
 def quotient_boundary_matrix(page: E1Page, p: int) -> SparseIntMatrix:

@@ -236,6 +236,74 @@ class TestStreamedColumns:
         assert str(from_generator.value) == str(from_tuple.value)
 
 
+def emptied(m, rows):
+    """``m`` with the given rows emptied."""
+    return SparseIntMatrix.from_entries(m.nrows, m.ncols, ((i, j, v) for i, j, v in m.entries() if i not in rows))
+
+
+class TestSkippedRows:
+    """``face_matrix`` leaves the rows in ``skip_rows`` empty, and checks every face."""
+
+    @pytest.mark.parametrize(
+        "d, g, side",
+        [*((d, None, None) for d in range(2, 8)), (7, 3, 1), (7, 4, 2)],
+        ids=[*(f"S{d}" for d in range(2, 8)), "g3-side1-d7", "g4-side2-d7"],
+    )
+    def test_the_full_matrix_with_those_rows_emptied(self, d, g, side):
+        if g is None:
+            words, targets = tuple(map(bytes, all_perms(d))), tuple(map(bytes, all_perms(d - 1)))
+        else:
+            words, targets = realizable_perms(d, side, g), realizable_perms(d - 1, side, g)
+        full = face_matrix(words, targets)
+        # a third of the rows at random, and the lead columns of the boundary
+        # below, the rows a cleared reduction skips
+        skips = [frozenset(random.Random(d).sample(range(len(targets)), len(targets) // 3))]
+        if d > 2:
+            below = realizable_perms(d - 2, side, g) if g is not None else tuple(all_perms(d - 2))
+            skips.append(snf(face_matrix(targets, below)).unit_pivot_columns)
+        for skip in skips:
+            got = face_matrix(words, targets, skip_rows=skip)
+            assert got == emptied(full, skip)
+            assert all(got._rows[i] == {} for i in skip)
+            assert snf(got, skip_rows=skip) == snf(full, skip_rows=skip)
+
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_an_empty_set_gives_the_whole_matrix(self, d):
+        words, targets = list(all_perms(d)), list(all_perms(d - 1))
+        got = face_matrix(words, targets, skip_rows=frozenset())
+        assert got == face_matrix(words, targets)
+        assert sorted(got.entries()) == sorted(referee_face_matrix(words, targets).entries())
+
+    def test_every_row_skipped_gives_a_zero_matrix_of_the_same_shape(self):
+        targets = tuple(all_perms(4))
+        m = face_matrix(all_perms(5), targets, skip_rows=frozenset(range(len(targets))))
+        assert (m.nrows, m.ncols) == (24, 120)
+        assert m.is_zero()
+
+    @pytest.mark.parametrize(
+        "words, targets, skip",
+        [
+            ([(0, 2, 1)], [(0, 1)], {0}),
+            ([(0, 1, 2), (0, 2, 1)], [(0, 1)], {0}),
+            ([b"\0\1\2", b"\0\2\1"], [b"\0\1"], {0}),
+        ],
+        ids=["only-row-skipped", "later-column", "bytes"],
+    )
+    def test_a_missing_face_raises_the_same_message_when_rows_are_skipped(self, words, targets, skip):
+        with pytest.raises(ValueError) as whole:
+            face_matrix(words, targets)
+        with pytest.raises(ValueError) as skipped:
+            face_matrix(words, targets, skip_rows=frozenset(skip))
+        assert str(skipped.value) == str(whole.value)
+        assert "face (1, 0) of (0, 2, 1) is outside the target basis" in str(skipped.value)
+
+    @pytest.mark.parametrize("words", [[(0, 2, 1)], (w for w in ())], ids=["words", "no-words"])
+    @pytest.mark.parametrize("bad", [-1, 2, 7])
+    def test_a_skip_row_outside_the_targets_raises(self, words, bad):
+        with pytest.raises(ValueError, match=re.escape(f"skip rows [{bad}] are outside range(2)")):
+            face_matrix(words, [(0, 1), (1, 0)], skip_rows=frozenset({0, bad}))
+
+
 class TestHomology:
     def test_full_complex_is_exact(self):
         c = perm_complex(7)
@@ -453,11 +521,12 @@ class TestExactnessWalk:
 
     @pytest.mark.parametrize("g, side, max_degree", [(2, 1, 3), (4, 2, 7)])
     def test_each_boundary_is_built_once_and_dropped_before_the_next(self, g, side, max_degree, monkeypatch):
-        built, alive, reduced = [], [], []
+        built, alive, reduced, keywords, stored = [], [], [], [], []
 
-        def counting_face_matrix(words, targets):
+        def counting_face_matrix(words, targets, **kwargs):
             alive.append(sum(ref() is not None for ref in built))
-            plain = face_matrix(words, targets)
+            keywords.append(kwargs)
+            plain = face_matrix(words, targets, **kwargs)
             m = _Watched(0, 0)
             m.nrows, m.ncols, m._rows, m.serial = plain.nrows, plain.ncols, plain._rows, len(built)
             built.append(weakref.ref(m))
@@ -465,7 +534,9 @@ class TestExactnessWalk:
 
         def counting_snf(m, *args, **kwargs):
             res = snf(m, *args, **kwargs)
-            reduced.append((m.serial, kwargs.get("skip_rows", frozenset()), res))
+            skip = kwargs.get("skip_rows", frozenset())
+            reduced.append((m.serial, skip, res))
+            stored.append(sum(len(m._rows[i]) for i in skip))
             return res
 
         monkeypatch.setattr(complexes, "face_matrix", counting_face_matrix)
@@ -487,6 +558,15 @@ class TestExactnessWalk:
                 cleared += 1
             leads[serial] = res.unit_pivot_columns
         assert cleared == max_degree - 3
+        # the top build alone gets a skip set, the lead columns of the
+        # boundary below it; every inner build keeps all its rows
+        top = len(built) - 1
+        assert keywords[:top] == [{}] * top
+        assert keywords[top] == {"skip_rows": leads[top - 1]}
+        # the last reduction is the top's, cleared by those columns, and
+        # the matrix it reads stores no entry in them
+        assert reduced[-1][:2] == (top, leads[top - 1])
+        assert stored[-1] == 0
 
     def test_the_walk_holds_little_beside_the_top_boundary(self):
         # at g6 side 2 every word through degree 7 is realizable, so the top
