@@ -33,6 +33,7 @@ from .intmat import SNFResult, SparseIntMatrix, snf
 from .complexes import (
     ChainComplex,
     HomologyGroup,
+    complement_report,
     exactness_report,
     homology,
     perm_complex,

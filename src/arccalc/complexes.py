@@ -14,17 +14,29 @@ exact in a range that grows with ``g``.  Homology is computed from Smith
 normal forms, so Betti numbers and torsion are exact.
 
 A :class:`ChainComplex` builds and holds every basis and boundary matrix.
-:func:`exactness_report` builds none: it walks the degrees up and keeps
-one boundary matrix and the basis below it alive.  At degree ``d`` it holds
-``∂_d`` and basis ``d``; it reduces ``∂_d`` and drops it, builds
-``∂_{d+1}`` over basis ``d`` and drops that basis, and reduces
-``∂_{d+1}``, which it reduces again as the boundary out of ``d + 1``.  The
-top basis is never held, since :func:`face_matrix` takes its columns from
-any iterable.  The top matrix keeps only the rows its reduction reads: it
-is reduced once, cleared by the lead columns of the ``∂`` below, so
-:func:`face_matrix` leaves those rows empty (``skip_rows``).  Both routes
-read one per-degree step, so :func:`homology` and the report make the same
-``snf`` calls on the same matrices.
+:func:`exactness_report` builds none, and takes one of two routes, the one
+with fewer cells by :func:`~arccalc.surfaces.genus_counts`, before any word
+is drawn.  The direct route walks the degrees up and keeps one boundary
+matrix and the basis below it alive.  At degree ``d`` it holds ``∂_d`` and
+basis ``d``; it reduces ``∂_d`` and drops it, builds ``∂_{d+1}`` over basis
+``d`` and drops that basis, and reduces ``∂_{d+1}``, which it reduces again
+as the boundary out of ``d + 1``.  The top basis is never held, since
+:func:`face_matrix` takes its columns from any iterable.  The top matrix
+keeps only the rows its reduction reads: it is reduced once, cleared by the
+lead columns of the ``∂`` below, so :func:`face_matrix` leaves those rows
+empty (``skip_rows``).  :func:`homology` and the direct route read one
+per-degree step, so they make the same ``snf`` calls on the same matrices.
+
+The complement route, :func:`complement_report`, reads the same rows off
+the non-realizable words alone, which are few at high genus.  The full
+complex is contracted by :func:`~arccalc.perms.hat` in every degree from 2
+on, and realizability is closed under faces, since a face keeps its word's
+genus or lowers it by one.  So the long exact sequence of the full complex
+``P`` and its quotient complex ``Q`` gives ``H_d(Q) ≅ H_{d+1}(P/Q)`` for
+``d >= 2``.  The complement's words are drawn from cofaces, its boundaries
+are face matrices that drop the realizable faces, and its top boundary is
+read as rows over the cofaces of the degree below; its reductions are
+cleared through the same per-degree step.
 
 Boundary matrices and the contraction checks take their faces from one
 routine, :func:`~arccalc.perms.faces`, on byte-string words (byte ``i`` is
@@ -52,8 +64,16 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .intmat import SNFResult, SparseIntMatrix, snf
-from .perms import Perm, all_perms, block_faces, faces, hat, identity
-from .surfaces import _realizable, _realizable_words, _word_genus, realizable_perms
+from .perms import Perm, all_perms, block_faces, cofaces, faces, hat, identity
+from .surfaces import (
+    _check_side,
+    _genus_levels,
+    _realizable,
+    _realizable_words,
+    _word_genus,
+    genus_counts,
+    realizable_perms,
+)
 
 DEFAULT_DEGREE_CAP = 7
 MAX_DEGREE_CAP = 8  # factorial growth; degree 9 is out of the supported range
@@ -77,6 +97,7 @@ def face_matrix(
     words: Iterable[Perm] | Iterable[bytes],
     targets: Sequence[Perm] | Sequence[bytes],
     skip_rows: frozenset[int] = frozenset(),
+    relative_to: Callable[[bytes], bool] | None = None,
 ) -> SparseIntMatrix:
     """
     Signed face matrix: column ``c`` is the alternating face sum of the
@@ -94,10 +115,19 @@ def face_matrix(
     up in ``targets``, so a skipped row changes no check, and a skip row
     outside ``range(len(targets))`` raises ``ValueError``.
 
+    ``relative_to`` gives the boundary of a relative complex ``P/Q``, whose
+    basis is the words of ``P`` outside the subcomplex ``Q``: it is the
+    membership test of ``Q``, called with each face missing from
+    ``targets`` as a byte word.  A face it accepts is dropped, since it is
+    zero in ``P/Q``; a face it rejects is outside both sets and raises
+    ``ValueError`` as before.
+
     >>> face_matrix([(0, 2, 1)], [(0, 1), (1, 0)]).to_dense()
     [[0], [1]]
     >>> face_matrix([(0, 2, 1)], [(0, 1), (1, 0)], skip_rows=frozenset({1})).to_dense()
     [[0], [0]]
+    >>> face_matrix([(0, 2, 1)], [(1, 0)], relative_to=lambda f: f == bytes((0, 1))).to_dense()
+    [[1]]
     """
     outside = sorted(i for i in skip_rows if not 0 <= i < len(targets))
     if outside:
@@ -133,6 +163,8 @@ def face_matrix(
         for f, sign in zip(faces(w), _SIGNS):
             i = rows.get(f)
             if i is None:
+                if relative_to is not None and relative_to(f):
+                    continue
                 raise ValueError(f"face {tuple(f)} of {tuple(w)} is outside the target basis")
             col[i] = col.get(i, 0) + sign
         for i, v in col.items():
@@ -261,6 +293,43 @@ def homology(c: ChainComplex, d: int) -> HomologyGroup:
     return _homology_at(c.dimension(d), out, into)
 
 
+def _report_degree(g: int, side: int, max_degree: int | None) -> int:
+    """
+    The top degree of a report's complex, ``max_degree`` or its default,
+    once the arguments are checked: a report checks degrees ``2 ..
+    max_degree - 1``, so ``max_degree`` below 3 would check nothing and
+    raises ``ValueError``, as do a genus below 2 and a bad side.
+    """
+    if max_degree is None:
+        max_degree = min(MAX_DEGREE_CAP, max(DEFAULT_DEGREE_CAP, g + side))
+    _check_cap(max_degree, 3)
+    _check_genus(g)
+    _check_side(side)
+    return max_degree
+
+
+def _row(d: int, h: HomologyGroup, top: int) -> dict:
+    return {"degree": d, "betti": h.betti, "torsion": list(h.torsion), "trivial": h.trivial, "guaranteed": d <= top}
+
+
+def _route_cells(g: int, side: int, max_degree: int) -> tuple[int, int]:
+    """
+    The cells each route of :func:`exactness_report` would build, from
+    :func:`~arccalc.surfaces.genus_counts` alone: the direct route's
+    realizable words through ``max_degree``, and the complement route's
+    non-realizable words through ``max_degree`` plus ``(max_degree + 1)²``
+    coface scans for each of those of degree ``max_degree``.
+    """
+    direct = complement = 0
+    for p in range(1, max_degree + 1):
+        counts = genus_counts(p, side)
+        # a word of genus s is realizable at g exactly when s >= p + 1 - g - side
+        outside = sum(counts[: max(0, p + 1 - g - side)])
+        direct += sum(counts) - outside
+        complement += outside
+    return direct, complement + outside * (max_degree + 1) ** 2
+
+
 def exactness_report(g: int, side: int, max_degree: int | None = None) -> list[dict]:
     """
     Homology of the quotient complex at every internal degree, flagging the
@@ -270,10 +339,27 @@ def exactness_report(g: int, side: int, max_degree: int | None = None) -> list[d
     The rows cover degrees ``2 .. max_degree - 1``, so ``max_degree`` below
     3 would check nothing and raises ``ValueError``.
 
-    The rows equal :func:`homology` of :func:`quotient_complex` at each
-    degree, with the same ``snf`` calls on the same matrices in the same
-    order, but no :class:`ChainComplex` is built: the report walks the
-    degrees up and holds one boundary matrix at a time.  At degree ``d`` it
+    Two routes give the same rows, and the report takes the one that builds
+    fewer cells, counted by :func:`_route_cells` before any word is drawn;
+    a tie goes to the direct route.  The direct route walks the realizable
+    words (:func:`_direct_rows`), and makes the same ``snf`` calls on the
+    same matrices as :func:`homology` of :func:`quotient_complex`.  The
+    complement route (:func:`complement_report`) reads each row off the
+    non-realizable words, and is the smaller at high genus: at degree 8 it
+    is taken from genus 6 on, on both sides.
+    """
+    max_degree = _report_degree(g, side, max_degree)
+    direct, complement = _route_cells(g, side, max_degree)
+    return (_complement_rows if complement < direct else _direct_rows)(g, side, max_degree)
+
+
+def _direct_rows(g: int, side: int, max_degree: int) -> list[dict]:
+    """
+    :func:`exactness_report`'s rows by the direct route, for checked
+    arguments.  They equal :func:`homology` of :func:`quotient_complex` at
+    each degree, with the same ``snf`` calls on the same matrices in the
+    same order, but no :class:`ChainComplex` is built: the walk goes up the
+    degrees and holds one boundary matrix at a time.  At degree ``d`` it
     holds ``∂_d`` and basis ``d``.  It reduces ``∂_d`` and drops it, draws
     basis ``d + 1`` from the uncached realizability filter, builds
     ``∂_{d+1}`` over basis ``d`` and drops basis ``d``, then reduces
@@ -286,10 +372,6 @@ def exactness_report(g: int, side: int, max_degree: int | None = None) -> list[d
     filter into the columns of the last matrix.
     """
     top = g + side - 1
-    if max_degree is None:
-        max_degree = min(MAX_DEGREE_CAP, max(DEFAULT_DEGREE_CAP, top + 1))
-    _check_cap(max_degree, 3)
-    _check_genus(g)
     basis = tuple(_realizable_words(2, side, g))
     boundary = face_matrix(basis, tuple(_realizable_words(1, side, g)))
     rows = []
@@ -307,17 +389,106 @@ def exactness_report(g: int, side: int, max_degree: int | None = None) -> list[d
             above = words
             boundary = face_matrix(above, basis, skip_rows=out.unit_pivot_columns)
         basis = above
-        h = _homology_at(dimension, out, boundary)
-        rows.append(
-            {
-                "degree": d,
-                "betti": h.betti,
-                "torsion": list(h.torsion),
-                "trivial": h.trivial,
-                "guaranteed": d <= top,
-            }
-        )
+        rows.append(_row(d, _homology_at(dimension, out, boundary), top))
     return rows
+
+
+def complement_report(g: int, side: int, max_degree: int | None = None) -> list[dict]:
+    """
+    :func:`exactness_report`'s rows, read off the complement of the
+    quotient complex: its bases share no word with the direct route's.
+
+    Let ``P`` be the full complex and ``Q`` the quotient complex at genus
+    ``g``, its subcomplex of realizable words.  ``P`` is acyclic in every
+    degree from 2 on: :func:`~arccalc.perms.hat` contracts it there, and
+    :func:`verify_homotopy` checks that contraction on every word through
+    degree 8.  The long exact sequence of the pair then gives
+    ``H_d(Q) ≅ H_{d+1}(P/Q)`` for ``d >= 2``, torsion included, so row ``d``
+    is the homology at degree ``d + 1`` of ``P/Q``.  Its basis is the
+    non-realizable words, and its boundary drops the realizable faces,
+    which are zero in ``P/Q``.  That is a chain complex because
+    realizability is closed under faces: a face keeps its word's genus or
+    lowers it by one, so a word's ``δ = degree - genus`` never grows on a
+    face, and a word is realizable exactly when ``δ <= g + side - 1``.
+
+    The non-realizable words of degree ``p`` are those of genus at most
+    ``p - g - side``, drawn by :func:`~arccalc.surfaces._genus_levels` from
+    cofaces, without enumerating ``S_p``.  The walk is the direct route's
+    on these bases: :func:`face_matrix` builds each inner boundary with
+    ``relative_to`` the realizability test, so every face it drops is
+    checked to be realizable, and each reduction is cleared through the
+    same :func:`_homology_at` step.  A boundary with no entry is the zero
+    map and is not reduced.  The top boundary, into degree ``max_degree``
+    from the degree above, is read as rows (:func:`_coface_rows`), so that
+    degree is never enumerated.
+    """
+    return _complement_rows(g, side, _report_degree(g, side, max_degree))
+
+
+def _complement_rows(g: int, side: int, max_degree: int) -> list[dict]:
+    """:func:`complement_report`'s walk, for checked arguments."""
+    top = g + side - 1
+
+    def realizable(face: bytes) -> bool:
+        return _realizable(face, side, g, _word_genus(face, side))
+
+    def nonzero(m: SparseIntMatrix) -> SparseIntMatrix | None:
+        return m if m.nnz else None
+
+    # every level holds the words of genus at most that of the top degree's
+    # complement; degree p keeps those of genus at most p - g - side
+    levels = _genus_levels(max_degree - g - side, side, max_degree)
+    bases = (tuple(w for w, s in level if not _realizable(w, side, g, s)) for level in levels)
+    next(bases)  # degree 1, where every word is realizable
+    below, basis = next(bases), next(bases)
+    boundary = nonzero(face_matrix(basis, below, relative_to=realizable))
+    rows = []
+    for d in range(3, max_degree + 1):
+        out = None if boundary is None else snf(boundary)
+        del boundary
+        if d < max_degree:
+            above = next(bases)
+            boundary = face_matrix(above, basis, relative_to=realizable)
+        else:
+            above = ()
+            boundary = _coface_rows(basis, frozenset() if out is None else out.unit_pivot_columns)
+        boundary = nonzero(boundary)
+        rows.append(_row(d - 1, _homology_at(len(basis), out, boundary), top))
+        basis = above
+    return rows
+
+
+def _coface_rows(words: Sequence[bytes], skip_rows: frozenset[int]) -> SparseIntMatrix:
+    """
+    The boundary into ``words``, non-realizable words of one degree, from
+    the non-realizable words of the degree above, as rows: row ``i`` holds,
+    at each coface of ``words[i]``, the sum of ``(-1)**j`` over the
+    positions ``j`` at which ``words[i]`` is that coface's face ``j``.  The
+    columns are the cofaces, numbered as they are met; the rows in
+    ``skip_rows`` are left empty, as :func:`face_matrix` leaves them.
+
+    Every coface of a non-realizable word is non-realizable, since ``δ``
+    never grows on a face, so no coface is dropped, and a row lists all
+    ``(k + 1)²`` cofaces of its degree-``k`` word.  This is the transpose
+    of :func:`face_matrix`'s build, not the same algorithm again: there the
+    columns are enumerated and their faces looked up in the rows; here the
+    columns are never enumerated, since drawing that degree's complement
+    would take its whole level of cofaces, and only the rows a cleared
+    reduction reads generate any.
+    """
+    m = SparseIntMatrix(len(words), 0)
+    columns: dict[bytes, int] = {}
+    for i, w in enumerate(words):
+        if i in skip_rows:
+            continue
+        row: dict[int, int] = {}
+        for sign, made in zip(_SIGNS, cofaces(w)):
+            for c in made:
+                j = columns.setdefault(c, len(columns))
+                row[j] = row.get(j, 0) + sign
+        m._rows[i] = {j: v for j, v in row.items() if v}
+    m.ncols = len(columns)
+    return m
 
 
 @dataclass(frozen=True)

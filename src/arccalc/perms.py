@@ -17,6 +17,9 @@ outside ``range(256)``, or a :func:`hat` argument of degree over 255 raises
 :func:`block_faces` is the block form of :func:`faces` on the same tables:
 face ``j`` of a whole block of byte words of one degree, taken in one
 ``map(bytes.translate, ...)`` over the block's letters at position ``j``.
+:func:`cofaces` goes the other way, on byte words only: it inserts a value
+at a position and renumbers up, so face ``j`` of a coface made at position
+``j`` is the word it was made from.
 
 Composition convention: ``compose(a, b)`` applies ``b`` first, so
 ``compose(a, b)(x) == a(b(x))``.
@@ -183,6 +186,32 @@ def faces(a: Sequence[int]) -> list[Perm] | list[bytes]:
     w = a if isinstance(a, bytes) else bytes(a)
     out = [w.translate(_RENUMBER[v], _DELETE[v]) for v in w]
     return out if w is a else [tuple(f) for f in out]
+
+
+def cofaces(w: bytes) -> list[list[bytes]]:
+    """
+    Every coface of the byte word ``w`` of degree ``k``: the ``j``-th list
+    holds, for each value ``v`` in ``0 .. k``, the word of degree ``k + 1``
+    made by renumbering up every entry from ``v`` on and inserting ``v`` at
+    position ``j``.  Face ``j`` of each word in the ``j``-th list is ``w``,
+    and every word of degree ``k + 1`` with ``w`` among its faces is in
+    some list; a word with ``w`` as more than one face is in more than one.
+    As with :func:`hat`, a degree over 255 or an entry 255 raises
+    ``ValueError``, and a word that is not ``bytes`` raises ``TypeError``.
+
+    >>> cofaces(b"\\0")
+    [[b'\\x00\\x01', b'\\x01\\x00'], [b'\\x01\\x00', b'\\x00\\x01']]
+    """
+    if not isinstance(w, bytes):
+        raise TypeError(f"cofaces takes a byte word, not {type(w).__name__}")
+    if len(w) > 255:
+        raise ValueError(f"cofaces of degree {len(w)} would have degree {len(w) + 1}, over 256")
+    if 255 in w:
+        raise ValueError("entry 255 has no successor in a byte word")
+    k = len(w)
+    # the tables are sliced per call, so importing the module builds none
+    ups = [w.translate(_ID[:v] + _UP[v:]) for v in range(k + 1)]
+    return [[u[:j] + _DELETE[v] + u[j:] for v, u in enumerate(ups)] for j in range(k + 1)]
 
 
 def block_faces(words: Sequence[bytes]) -> Iterator[list[bytes]]:

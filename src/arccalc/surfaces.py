@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .perms import _ID, Perm, all_perms, as_perm, cycle_count, hat
+from .perms import _ID, Perm, all_perms, as_perm, cofaces, cycle_count, hat
 
 SIDES = (1, 2)
 
@@ -191,6 +191,29 @@ def _realizable_words(p: int, side: int, g: int) -> Iterator[bytes]:
     if p <= g - 1 + side:
         return map(bytes, all_perms(p))
     return (w for w, s in _genera(p, side) if _realizable(w, side, g, s))
+
+
+def _genus_levels(S: int, side: int, max_degree: int) -> Iterator[list[tuple[bytes, int]]]:
+    """
+    For each degree ``p`` from 1 to ``max_degree``, the degree-``p`` words
+    of simplex genus at most ``S`` on ``side``, in lexicographic order, as
+    byte words each with its genus; a level is made when it is drawn.
+
+    A face keeps its word's genus or lowers it by one, so every word of
+    genus at most ``S`` and degree ``p >= 2`` is a coface of one of genus at
+    most ``S`` and degree ``p - 1``.  Level ``p`` is read off the
+    :func:`~arccalc.perms.cofaces` of level ``p - 1``: each distinct coface
+    has its boundary counted once, and none of ``S_p`` is enumerated.  A
+    negative ``S`` gives empty levels and counts nothing.
+    """
+    _check_side(side)
+    # the one degree-1 word has genus 0 on both sides
+    level = [(b"\0", 0)] if S >= 0 else []
+    for p in range(1, max_degree + 1):
+        if p > 1:
+            made = {c for w, _ in level for row in cofaces(w) for c in row}
+            level = sorted((c, s) for c in made for s in (_word_genus(c, side),) if s <= S)
+        yield level
 
 
 def genus_counts(p: int, side: int) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ import pytest
 import arccalc
 from arccalc import complexes, surfaces
 from arccalc.complexes import (
+    complement_report,
     exactness_report,
     face_matrix,
     homology,
@@ -25,8 +26,15 @@ from arccalc.complexes import (
     verify_quotient_homotopy,
 )
 from arccalc.intmat import SparseIntMatrix, _unit_echelon, snf
-from arccalc.perms import FormalSum, all_perms, boundary, faces, hat, identity
-from arccalc.surfaces import _neighborhood_boundary, boundary_count, realizable_perms
+from arccalc.perms import FormalSum, all_perms, boundary, cofaces, faces, hat, identity
+from arccalc.surfaces import (
+    _genus_levels,
+    _neighborhood_boundary,
+    _realizable,
+    _word_genus,
+    boundary_count,
+    realizable_perms,
+)
 
 
 class TestConstruction:
@@ -304,6 +312,49 @@ class TestSkippedRows:
             face_matrix(words, [(0, 1), (1, 0)], skip_rows=frozenset({0, bad}))
 
 
+def complement_basis(p, side, g):
+    """The non-realizable words of degree ``p`` at genus ``g``, from the coface levels."""
+    *_, level = _genus_levels(p - g - side, side, p)
+    return tuple(w for w, s in level if not _realizable(w, side, g, s))
+
+
+def in_quotient(side, g):
+    """The membership test of the quotient complex at genus ``g``, on byte words."""
+    return lambda w: _realizable(w, side, g, _word_genus(w, side))
+
+
+class TestRelativeFaces:
+    """``face_matrix`` with ``relative_to`` drops the faces in the subcomplex, and checks each."""
+
+    @pytest.mark.parametrize("d, g, side", [(6, 3, 1), (7, 4, 1), (7, 4, 2)])
+    def test_the_relative_boundary_is_the_full_one_on_the_complement(self, d, g, side):
+        # the rows of the boundary of S_d at the non-realizable words of
+        # degree d - 1, on the columns at those of degree d
+        words, targets = complement_basis(d, side, g), complement_basis(d - 1, side, g)
+        assert words and targets
+        full = face_matrix(map(bytes, all_perms(d)), tuple(map(bytes, all_perms(d - 1))))
+        row = {w: i for i, w in enumerate(map(bytes, all_perms(d - 1)))}
+        col = {w: j for j, w in enumerate(map(bytes, all_perms(d)))}
+        got = face_matrix(words, targets, relative_to=in_quotient(side, g))
+        assert got.to_dense() == [[full._rows[row[t]].get(col[w], 0) for w in words] for t in targets]
+
+    def test_the_test_is_asked_only_of_faces_outside_the_targets(self):
+        asked = []
+
+        def realizable(f):
+            asked.append(f)
+            return True
+
+        m = face_matrix([(0, 2, 1)], [(1, 0)], relative_to=realizable)
+        assert m.to_dense() == [[1]]
+        assert asked == [b"\0\1", b"\0\1"]
+
+    @pytest.mark.parametrize("words", [[(0, 2, 1)], [b"\0\2\1"]], ids=["tuple", "bytes"])
+    def test_a_face_outside_both_sets_raises(self, words):
+        with pytest.raises(ValueError, match=re.escape("face (0, 1) of (0, 2, 1) is outside the target basis")):
+            face_matrix(words, [(1, 0)], relative_to=lambda f: False)
+
+
 class TestHomology:
     def test_full_complex_is_exact(self):
         c = perm_complex(7)
@@ -571,7 +622,9 @@ class TestExactnessWalk:
     def test_the_walk_holds_little_beside_the_top_boundary(self):
         # at g6 side 2 every word through degree 7 is realizable, so the top
         # boundary is the face matrix of S_7 over S_6; building every basis
-        # and boundary before reducing any peaked at 1.49 times its size
+        # and boundary before reducing any peaked at 1.49 times its size.
+        # exactness_report takes the complement route there, so the direct
+        # walk is called by name
         top, below = tuple(map(bytes, all_perms(7))), tuple(map(bytes, all_perms(6)))
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
@@ -584,12 +637,121 @@ class TestExactnessWalk:
             gc.collect()
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            exactness_report(6, 2, 7)
+            complexes._direct_rows(6, 2, 7)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
                 tracemalloc.stop()
         assert peak <= 1.3 * size, (peak, size)
+
+
+class TestComplementRoute:
+    """``complement_report`` reads the rows off the non-realizable words, and the report picks a route."""
+
+    @pytest.mark.parametrize("max_degree", range(3, 8))
+    @pytest.mark.parametrize("g, side", [(g, side) for g in range(4, 8) for side in (1, 2)])
+    def test_the_complement_equals_the_direct_walk(self, g, side, max_degree):
+        assert complement_report(g, side, max_degree) == complexes._direct_rows(g, side, max_degree)
+
+    def test_the_coface_rows_are_the_relative_face_matrix_transposed(self):
+        # the top boundary of g3 side 1 through degree 5, read as rows over
+        # cofaces, against the face matrix of the enumerated degree 6: the
+        # same nonzero columns, in another order
+        g, side = 3, 1
+        words, above = complement_basis(5, side, g), complement_basis(6, side, g)
+        skip = frozenset(range(0, len(words), 3))
+        rows = complexes._coface_rows(words, skip)
+        built = face_matrix(above, words, skip_rows=skip, relative_to=in_quotient(side, g))
+
+        def columns(m):
+            cols = [dict() for _ in range(m.ncols)]
+            for i, j, v in m.entries():
+                cols[j][i] = v
+            return sorted(sorted(c.items()) for c in cols if c)
+
+        assert all(rows._rows[i] == {} for i in skip)
+        assert columns(rows) == columns(built)
+        assert rows.ncols == len({c for i, w in enumerate(words) if i not in skip for row in cofaces(w) for c in row})
+
+    @pytest.mark.parametrize(
+        "g, side, max_degree, cells",
+        [
+            (7, 2, 8, (46233, 0)),
+            (4, 1, 8, (11909, 34324 + 32256 * 81)),
+            (2, 1, 4, (16, 17 + 16 * 25)),
+            (6, 1, 8, (46021, 212 + 211 * 81)),
+        ],
+    )
+    def test_the_cells_each_route_would_build(self, g, side, max_degree, cells):
+        assert complexes._route_cells(g, side, max_degree) == cells
+
+    def test_at_degree_8_the_complement_is_taken_from_genus_6(self):
+        for side in (1, 2):
+            cells = {g: complexes._route_cells(g, side, 8) for g in range(2, 10)}
+            assert [g for g, (direct, complement) in cells.items() if complement < direct] == [6, 7, 8, 9], side
+
+    @pytest.mark.parametrize(
+        "g, side, max_degree, route, snf_calls, matrices",
+        [
+            (7, 2, 8, "complement", 0, 0),
+            (4, 1, 8, "direct", 12, 7),
+            (2, 1, 4, "direct", 4, 3),
+        ],
+        ids=["homology-g7-s2", "homology-g4-s1", "tiny-homology"],
+    )
+    def test_the_route_each_named_case_takes(self, g, side, max_degree, route, snf_calls, matrices, monkeypatch):
+        # the benchmark's two homology commands and its self-test's tiny one
+        taken, drawn, reduced = [], [], []
+
+        def taking(name):
+            walk = getattr(complexes, name)
+
+            def route(*args):
+                taken.append(name)
+                return walk(*args)
+
+            return route
+
+        realizable_words = complexes._realizable_words
+
+        def counting_words(*args):
+            for w in realizable_words(*args):
+                drawn.append(w)
+                yield w
+
+        def counting_levels(*args):
+            for level in _genus_levels(*args):
+                drawn.extend(level)
+                yield level
+
+        def counting_snf(m, *args, **kwargs):
+            reduced.append(m)
+            return snf(m, *args, **kwargs)
+
+        for name in ("_direct_rows", "_complement_rows"):
+            monkeypatch.setattr(complexes, name, taking(name))
+        monkeypatch.setattr(complexes, "_realizable_words", counting_words)
+        monkeypatch.setattr(complexes, "_genus_levels", counting_levels)
+        monkeypatch.setattr(complexes, "snf", counting_snf)
+        rows = exactness_report(g, side, max_degree)
+        assert taken == ["_" + route + "_rows"]
+        assert (len(reduced), len({id(m) for m in reduced})) == (snf_calls, matrices)
+        if route == "complement":
+            # P/Q is zero through degree 8: no word is drawn and every row is 0
+            assert drawn == []
+            assert all(r["trivial"] for r in rows)
+
+    @pytest.mark.parametrize("max_degree", [1, 2, 9])
+    def test_a_degree_out_of_range_raises(self, max_degree):
+        with pytest.raises(ValueError):
+            complement_report(7, 2, max_degree)
+
+    @pytest.mark.parametrize("g, side", [(1, 1), (7, 3), (7, True)])
+    def test_a_bad_genus_or_side_raises(self, g, side):
+        with pytest.raises(ValueError):
+            complement_report(g, side, 8)
+        with pytest.raises(ValueError):
+            exactness_report(g, side, 8)
 
 
 class TestHomotopy:

@@ -10,6 +10,7 @@ from arccalc.perms import (
     as_perm,
     block_faces,
     boundary,
+    cofaces,
     compose,
     cycle_count,
     face,
@@ -252,10 +253,44 @@ class TestByteWords:
         with pytest.raises(ValueError):
             hat(bytes((255, 0)))  # 255 has no successor byte
 
+    @given(st.integers(1, 255).flatmap(lambda k: st.permutations(range(k)).map(bytes)), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_face_j_of_a_coface_made_at_j_is_the_word(self, w, data):
+        # at every degree whose cofaces are byte words: k + 1 lists of k + 1
+        # words of degree k + 1; one drawn position is checked in full, as
+        # taking every face of every coface is cubic in the degree
+        k = len(w)
+        made = cofaces(w)
+        assert [len(row) for row in made] == [k + 1] * (k + 1)
+        j = data.draw(st.integers(0, k), label="j")
+        for v, c in enumerate(made[j]):
+            assert type(c) is bytes and sorted(c) == list(range(k + 1))
+            assert c[j] == v
+            assert faces(c)[j] == w
+
+    def test_cofaces_are_the_words_with_the_word_as_a_face(self):
+        # exhaustively on S_1..S_5: a word of degree k + 1 is made from w
+        # once for each position at which w is its face
+        for k in range(1, 6):
+            up = [bytes(c) for c in all_perms(k + 1)]
+            for w in map(bytes, all_perms(k)):
+                made = sorted(c for row in cofaces(w) for c in row)
+                assert made == sorted(c for c in up for f in faces(c) if f == w), w
+
+    def test_coface_limits(self):
+        assert cofaces(bytes(range(255)))[255][255] == bytes(range(256))
+        for word in (bytes(range(256)), bytes(256)):  # degree 256, with and without 255
+            with pytest.raises(ValueError):
+                cofaces(word)
+        with pytest.raises(ValueError):
+            cofaces(bytes((255, 0)))  # 255 has no successor byte
+        with pytest.raises(TypeError):
+            cofaces((0, 1))
+
     def test_degree_limits_raise_under_python_O(self):
         code = (
-            "from arccalc.perms import faces, hat\n"
-            "for f, a in ((hat, bytes(range(256))), (faces, bytes(257)), (hat, (256,))):\n"
+            "from arccalc.perms import cofaces, faces, hat\n"
+            "for f, a in ((hat, bytes(range(256))), (faces, bytes(257)), (hat, (256,)), (cofaces, bytes(range(256)))):\n"
             "    try:\n"
             "        f(a)\n"
             "    except ValueError:\n"
@@ -263,7 +298,7 @@ class TestByteWords:
         )
         res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.split() == ["raised"] * 3
+        assert res.stdout.split() == ["raised"] * 4
 
 
 class TestBoundary:

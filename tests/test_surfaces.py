@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from arccalc.perms import all_perms, compose, cycle_count, faces, hat, identity, inverse, rotation
 from arccalc.surfaces import (
     _genera,
+    _genus_levels,
+    _word_genus,
     _neighborhood_boundary,
     SIDES,
     ArcClass,
@@ -218,6 +220,29 @@ class TestGenusCounts:
                 for g in range(2, 8):
                     low = max(0, p + 1 - g - side)
                     assert sum(counts[low:]) == len(realizable_perms(p, side, g)), (p, side, g)
+
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize("S", range(5))
+    def test_coface_levels_tally_with_the_counts(self, S, side):
+        # a word missed or drawn twice changes a level's tally; each level is
+        # in lexicographic order, each word with its own genus, none over S
+        for p, level in enumerate(_genus_levels(S, side, 8), 1):
+            assert len(level) == sum(genus_counts(p, side)[: S + 1]), p
+            words = [w for w, _ in level]
+            assert words == sorted(set(words))
+            assert all(s == _word_genus(w, side) <= S for w, s in level), p
+
+    def test_a_negative_genus_bound_gives_empty_levels(self):
+        assert list(_genus_levels(-1, 1, 8)) == [[]] * 8
+
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_a_face_keeps_the_genus_or_lowers_it_by_one(self, side):
+        # what the coface levels and the complement route rest on: every face
+        # of every word through degree 7
+        for p in range(2, 8):
+            genus = dict(_genera(p - 1, side))
+            for w, s in _genera(p, side):
+                assert {s - genus[f] for f in faces(w)} <= {0, 1}, w
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
