@@ -14,18 +14,13 @@ exact in a range that grows with ``g``.  Homology is computed from Smith
 normal forms, so Betti numbers and torsion are exact.
 
 A :class:`ChainComplex` builds and holds every basis and boundary matrix.
-:func:`exactness_report` builds none, and takes one of two routes, the one
-with fewer cells by :func:`~arccalc.surfaces.genus_counts`, before any word
-is drawn.  The direct route walks the degrees up and keeps one boundary
-matrix and the basis below it alive.  At degree ``d`` it holds ``∂_d`` and
-basis ``d``; it reduces ``∂_d`` and drops it, builds ``∂_{d+1}`` over basis
-``d`` and drops that basis, and reduces ``∂_{d+1}``, which it reduces again
-as the boundary out of ``d + 1``.  The top basis is never held, since
-:func:`face_matrix` takes its columns from any iterable.  The top matrix
-keeps only the rows its reduction reads: it is reduced once, cleared by the
-lead columns of the ``∂`` below, so :func:`face_matrix` leaves those rows
-empty (``skip_rows``).  :func:`homology` and the direct route read one
-per-degree step, so they make the same ``snf`` calls on the same matrices.
+:func:`exactness_report` builds none, and takes one of two routes, picked by
+:func:`_route_cells` from :func:`~arccalc.surfaces.genus_counts` before any
+word is drawn.  Both routes are one walk up the degrees, :func:`_walk`,
+which holds one boundary matrix at a time and clears each reduction by the
+lead columns of the ``∂`` below; they differ only in their bases and their
+builds.  The direct route walks the realizable words, and makes the same
+``snf`` calls on the same matrices as :func:`homology`.
 
 The complement route, :func:`complement_report`, reads the same rows off
 the non-realizable words alone, which are few at high genus.  The full
@@ -35,8 +30,7 @@ genus or lowers it by one.  So the long exact sequence of the full complex
 ``P`` and its quotient complex ``Q`` gives ``H_d(Q) ≅ H_{d+1}(P/Q)`` for
 ``d >= 2``.  The complement's words are drawn from cofaces, its boundaries
 are face matrices that drop the realizable faces, and its top boundary is
-read as rows over the cofaces of the degree below; its reductions are
-cleared through the same per-degree step.
+read as rows over the cofaces of the degree below.
 
 Boundary matrices and the contraction checks take their faces from one
 routine, :func:`~arccalc.perms.faces`, on byte-string words (byte ``i`` is
@@ -61,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .intmat import SNFResult, SparseIntMatrix, snf
 from .perms import Perm, all_perms, block_faces, cofaces, faces, hat, identity
@@ -220,12 +214,6 @@ class ChainComplex:
             raise ValueError(f"no boundary matrix at degree {d}")
         return self._matrices[d]
 
-    def verify_dd_zero(self) -> bool:
-        return all(
-            (self._matrices[d - 1] @ self._matrices[d]).is_zero()
-            for d in range(self.min_degree + 2, self.max_degree + 1)
-        )
-
 
 @dataclass(frozen=True)
 class HomologyGroup:
@@ -308,8 +296,13 @@ def _report_degree(g: int, side: int, max_degree: int | None) -> int:
     return max_degree
 
 
-def _row(d: int, h: HomologyGroup, top: int) -> dict:
-    return {"degree": d, "betti": h.betti, "torsion": list(h.torsion), "trivial": h.trivial, "guaranteed": d <= top}
+def _rows(g: int, side: int, walk: Iterator[HomologyGroup]) -> list[dict]:
+    """The report rows of a :func:`_walk` whose first row is degree 2."""
+    top = g + side - 1
+    return [
+        {"degree": d, "betti": h.betti, "torsion": list(h.torsion), "trivial": h.trivial, "guaranteed": d <= top}
+        for d, h in enumerate(walk, 2)
+    ]
 
 
 def _route_cells(g: int, side: int, max_degree: int) -> tuple[int, int]:
@@ -317,8 +310,9 @@ def _route_cells(g: int, side: int, max_degree: int) -> tuple[int, int]:
     The cells each route of :func:`exactness_report` would build, from
     :func:`~arccalc.surfaces.genus_counts` alone: the direct route's
     realizable words through ``max_degree``, and the complement route's
-    non-realizable words through ``max_degree`` plus ``(max_degree + 1)²``
-    coface scans for each of those of degree ``max_degree``.
+    non-realizable words through ``max_degree`` plus half a cell for
+    each of the ``(max_degree + 1)²`` coface scans of each of those of
+    degree ``max_degree``, a weight timed in ``BENCH_36.json``.
     """
     direct = complement = 0
     for p in range(1, max_degree + 1):
@@ -327,7 +321,7 @@ def _route_cells(g: int, side: int, max_degree: int) -> tuple[int, int]:
         outside = sum(counts[: max(0, p + 1 - g - side)])
         direct += sum(counts) - outside
         complement += outside
-    return direct, complement + outside * (max_degree + 1) ** 2
+    return direct, complement + outside * (max_degree + 1) ** 2 // 2
 
 
 def exactness_report(g: int, side: int, max_degree: int | None = None) -> list[dict]:
@@ -341,56 +335,64 @@ def exactness_report(g: int, side: int, max_degree: int | None = None) -> list[d
 
     Two routes give the same rows, and the report takes the one that builds
     fewer cells, counted by :func:`_route_cells` before any word is drawn;
-    a tie goes to the direct route.  The direct route walks the realizable
-    words (:func:`_direct_rows`), and makes the same ``snf`` calls on the
-    same matrices as :func:`homology` of :func:`quotient_complex`.  The
-    complement route (:func:`complement_report`) reads each row off the
-    non-realizable words, and is the smaller at high genus: at degree 8 it
-    is taken from genus 6 on, on both sides.
+    a tie goes to the direct route, :func:`_direct_rows`.  The complement
+    route, :func:`complement_report`, is the smaller at high genus: at
+    degree 8 it is taken from genus 6 on side 1 and from genus 5 on side 2.
     """
     max_degree = _report_degree(g, side, max_degree)
     direct, complement = _route_cells(g, side, max_degree)
     return (_complement_rows if complement < direct else _direct_rows)(g, side, max_degree)
 
 
+def _walk(bases: Iterable[Sequence[bytes]], build: Callable, top: Callable) -> Iterator[HomologyGroup]:
+    """
+    Homology at every degree of ``bases`` but the lowest.  ``bases`` gives
+    two bases at least, lowest first, each drawn when the walk reaches it.
+    ``build(above, basis)`` is the boundary from ``above`` into ``basis``,
+    and ``top(basis, cleared)`` the one into the last basis, from a degree
+    never drawn; either gives ``None`` for a zero map, which is not reduced.
+
+    At degree ``d`` the walk holds ``∂_d`` and basis ``d``.  It reduces
+    ``∂_d`` and drops it, draws basis ``d + 1``, builds ``∂_{d+1}`` and drops
+    basis ``d``, then reduces ``∂_{d+1}`` in :func:`_homology_at`, cleared
+    by the unit pivot columns of ``∂_d``.  That matrix is reduced again,
+    uncleared, as the boundary out of the next degree, so it keeps every
+    row.  The top matrix is reduced only once, cleared, so ``top`` is given
+    those columns and need not store the rows they name: its reduction
+    never reads them.
+    """
+    bases = iter(bases)
+    below, basis = next(bases), next(bases)
+    boundary = build(basis, below)
+    del below
+    while basis is not None:
+        out = None if boundary is None else snf(boundary)
+        del boundary
+        above = next(bases, None)
+        cleared = frozenset() if out is None else out.unit_pivot_columns
+        boundary = top(basis, cleared) if above is None else build(above, basis)
+        dimension, basis = len(basis), above
+        yield _homology_at(dimension, out, boundary)
+
+
 def _direct_rows(g: int, side: int, max_degree: int) -> list[dict]:
     """
     :func:`exactness_report`'s rows by the direct route, for checked
-    arguments.  They equal :func:`homology` of :func:`quotient_complex` at
-    each degree, with the same ``snf`` calls on the same matrices in the
-    same order, but no :class:`ChainComplex` is built: the walk goes up the
-    degrees and holds one boundary matrix at a time.  At degree ``d`` it
-    holds ``∂_d`` and basis ``d``.  It reduces ``∂_d`` and drops it, draws
-    basis ``d + 1`` from the uncached realizability filter, builds
-    ``∂_{d+1}`` over basis ``d`` and drops basis ``d``, then reduces
-    ``∂_{d+1}`` cleared by the lead columns of ``∂_d``.  That matrix is
-    reduced again, uncleared, as the boundary out of the next degree, so it
-    keeps every row.  The top matrix is reduced only once, cleared, so it
-    keeps only the rows its reduction reads: :func:`face_matrix` leaves the
-    rows at the lead columns of the ``∂`` below empty, as ``snf`` skips
-    them.  The top basis is never held: its words go straight from the
+    arguments: :func:`_walk` over the realizable words, drawn from the
+    uncached realizability filter.  They equal :func:`homology` of
+    :func:`quotient_complex` at each degree, with the same ``snf`` calls on
+    the same matrices in the same order, but no :class:`ChainComplex` is
+    built.  The top basis is never held: its words go straight from the
     filter into the columns of the last matrix.
     """
-    top = g + side - 1
-    basis = tuple(_realizable_words(2, side, g))
-    boundary = face_matrix(basis, tuple(_realizable_words(1, side, g)))
-    rows = []
-    for d in range(2, max_degree):
-        out = snf(boundary)
-        del boundary
-        words = _realizable_words(d + 1, side, g)
-        dimension = len(basis)
-        if d + 1 < max_degree:
-            above = tuple(words)
-            boundary = face_matrix(above, basis)
-        else:
-            # the top is reduced once, cleared, so it stores only the rows
-            # that reduction reads, and its basis is never held
-            above = words
-            boundary = face_matrix(above, basis, skip_rows=out.unit_pivot_columns)
-        basis = above
-        rows.append(_row(d, _homology_at(dimension, out, boundary), top))
-    return rows
+
+    def last(basis: Sequence[bytes], cleared: frozenset[int]) -> SparseIntMatrix:
+        return face_matrix(_realizable_words(max_degree, side, g), basis, skip_rows=cleared)
+
+    bases = (tuple(_realizable_words(d, side, g)) for d in range(1, max_degree))
+    # face_matrix never gives None, so the zero ∂_2 on S_2 is reduced, as
+    # homology reduces it
+    return _rows(g, side, _walk(bases, face_matrix, last))
 
 
 def complement_report(g: int, side: int, max_degree: int | None = None) -> list[dict]:
@@ -413,21 +415,18 @@ def complement_report(g: int, side: int, max_degree: int | None = None) -> list[
 
     The non-realizable words of degree ``p`` are those of genus at most
     ``p - g - side``, drawn by :func:`~arccalc.surfaces._genus_levels` from
-    cofaces, without enumerating ``S_p``.  The walk is the direct route's
-    on these bases: :func:`face_matrix` builds each inner boundary with
+    cofaces, without enumerating ``S_p``.  They are walked by
+    :func:`_walk`: :func:`face_matrix` builds each inner boundary with
     ``relative_to`` the realizability test, so every face it drops is
-    checked to be realizable, and each reduction is cleared through the
-    same :func:`_homology_at` step.  A boundary with no entry is the zero
-    map and is not reduced.  The top boundary, into degree ``max_degree``
-    from the degree above, is read as rows (:func:`_coface_rows`), so that
-    degree is never enumerated.
+    checked to be realizable, and a boundary with no entry is the zero map.
+    The top boundary, into degree ``max_degree`` from the degree above, is
+    read as rows (:func:`_coface_rows`), so that degree is never enumerated.
     """
     return _complement_rows(g, side, _report_degree(g, side, max_degree))
 
 
 def _complement_rows(g: int, side: int, max_degree: int) -> list[dict]:
     """:func:`complement_report`'s walk, for checked arguments."""
-    top = g + side - 1
 
     def realizable(face: bytes) -> bool:
         return _realizable(face, side, g, _word_genus(face, side))
@@ -435,27 +434,18 @@ def _complement_rows(g: int, side: int, max_degree: int) -> list[dict]:
     def nonzero(m: SparseIntMatrix) -> SparseIntMatrix | None:
         return m if m.nnz else None
 
+    def build(above: Sequence[bytes], basis: Sequence[bytes]) -> SparseIntMatrix | None:
+        return nonzero(face_matrix(above, basis, relative_to=realizable))
+
+    def last(basis: Sequence[bytes], cleared: frozenset[int]) -> SparseIntMatrix | None:
+        return nonzero(_coface_rows(basis, cleared))
+
     # every level holds the words of genus at most that of the top degree's
     # complement; degree p keeps those of genus at most p - g - side
     levels = _genus_levels(max_degree - g - side, side, max_degree)
     bases = (tuple(w for w, s in level if not _realizable(w, side, g, s)) for level in levels)
     next(bases)  # degree 1, where every word is realizable
-    below, basis = next(bases), next(bases)
-    boundary = nonzero(face_matrix(basis, below, relative_to=realizable))
-    rows = []
-    for d in range(3, max_degree + 1):
-        out = None if boundary is None else snf(boundary)
-        del boundary
-        if d < max_degree:
-            above = next(bases)
-            boundary = face_matrix(above, basis, relative_to=realizable)
-        else:
-            above = ()
-            boundary = _coface_rows(basis, frozenset() if out is None else out.unit_pivot_columns)
-        boundary = nonzero(boundary)
-        rows.append(_row(d - 1, _homology_at(len(basis), out, boundary), top))
-        basis = above
-    return rows
+    return _rows(g, side, _walk(bases, build, last))
 
 
 def _coface_rows(words: Sequence[bytes], skip_rows: frozenset[int]) -> SparseIntMatrix:

@@ -1,4 +1,5 @@
 import gc
+import json
 import os
 import random
 import re
@@ -56,8 +57,9 @@ class TestConstruction:
                         assert c.basis(p) == tuple(all_perms(p))
 
     def test_boundary_squares_to_zero(self):
-        assert perm_complex(7).verify_dd_zero()
-        assert quotient_complex(3, 2, 7).verify_dd_zero()
+        for c in (perm_complex(7), quotient_complex(3, 2, 7)):
+            for d in range(c.min_degree + 2, c.max_degree + 1):
+                assert (c.boundary_matrix(d - 1) @ c.boundary_matrix(d)).is_zero(), d
 
     def test_quotient_needs_genus_2(self):
         with pytest.raises(ValueError):
@@ -677,18 +679,57 @@ class TestComplementRoute:
         "g, side, max_degree, cells",
         [
             (7, 2, 8, (46233, 0)),
-            (4, 1, 8, (11909, 34324 + 32256 * 81)),
-            (2, 1, 4, (16, 17 + 16 * 25)),
-            (6, 1, 8, (46021, 212 + 211 * 81)),
+            (4, 1, 8, (11909, 34324 + 32256 * 81 // 2)),
+            (2, 1, 4, (16, 17 + 16 * 25 // 2)),
+            (6, 1, 8, (46021, 212 + 211 * 81 // 2)),
         ],
     )
     def test_the_cells_each_route_would_build(self, g, side, max_degree, cells):
         assert complexes._route_cells(g, side, max_degree) == cells
 
-    def test_at_degree_8_the_complement_is_taken_from_genus_6(self):
-        for side in (1, 2):
+    def test_degree_8_takes_the_complement_from_g6_s1_and_g5_s2(self):
+        for side, first in ((1, 6), (2, 5)):
             cells = {g: complexes._route_cells(g, side, 8) for g in range(2, 10)}
-            assert [g for g, (direct, complement) in cells.items() if complement < direct] == [6, 7, 8, 9], side
+            assert [g for g, (direct, complement) in cells.items() if complement < direct] == list(range(first, 10))
+
+    @pytest.mark.parametrize("max_degree", [7, 8])
+    def test_the_rule_takes_the_route_timed_faster(self, max_degree):
+        # every case of the route grid recorded in BENCH_36.json, each route
+        # timed by name in fresh processes
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_36.json")) as fh:
+            grid = [c for c in json.load(fh)["route_grid"]["cases"] if c["max_degree"] == max_degree]
+        assert len(grid) == 16
+        for case in grid:
+            direct, complement = complexes._route_cells(case["g"], case["side"], max_degree)
+            picked = "complement" if complement < direct else "direct"
+            assert picked == case["faster"], case
+
+    def test_the_complement_walk_holds_one_boundary_at_a_time(self, monkeypatch):
+        # at g6 side 1 the complement is not empty through degree 8: each
+        # inner boundary is a face matrix and the top one its coface rows
+        built, alive, entries = [], [], []
+
+        def watching(make):
+            def watched(*args, **kwargs):
+                alive.append(sum(ref() is not None for ref in built))
+                plain = make(*args, **kwargs)
+                entries.append(plain.nnz)
+                m = _Watched(0, 0)
+                m.nrows, m.ncols, m._rows, m.serial = plain.nrows, plain.ncols, plain._rows, len(built)
+                built.append(weakref.ref(m))
+                return m
+
+            return watched
+
+        monkeypatch.setattr(complexes, "face_matrix", watching(face_matrix))
+        monkeypatch.setattr(complexes, "_coface_rows", watching(complexes._coface_rows))
+        assert all(r["trivial"] for r in complement_report(6, 1, 8))
+        # ∂_3 .. ∂_8 and the top's coface rows, the last two not zero; none
+        # is alive when the next is built, and none is left
+        assert len(built) == 7
+        assert entries[:5] == [0] * 5 and all(entries[5:]), entries
+        assert alive == [0] * len(built)
+        assert all(ref() is None for ref in built)
 
     @pytest.mark.parametrize(
         "g, side, max_degree, route, snf_calls, matrices",
