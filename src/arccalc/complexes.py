@@ -66,7 +66,6 @@ from .surfaces import (
     _realizable_words,
     _word_genus,
     genus_counts,
-    realizable_perms,
 )
 
 DEFAULT_DEGREE_CAP = 7
@@ -271,8 +270,8 @@ def homology(c: ChainComplex, d: int) -> HomologyGroup:
     skips them and finds the same rank and invariant factors (the clearing
     of Chen and Kerber, 2011, and Bauer, Kerber and Reininghaus, 2014; the
     argument is in :mod:`arccalc.intmat`).  A lead that is not a unit hands
-    ``∂_d`` to the eliminator, whose unit pivot columns clear the same way;
-    after a non-unit pick nothing is skipped.
+    ``∂_d`` to the eliminator, which offers no columns, so nothing is
+    skipped.
     """
     if d < c.min_degree or d > c.max_degree:
         raise ValueError(f"degree {d} not present (range {c.min_degree}..{c.max_degree})")
@@ -657,9 +656,11 @@ def verify_quotient_homotopy(g: int, side: int) -> HomotopyReport:
     guaranteed range: for every basis word of degree ``2 <= d <= g-1+side``,
     contraction-of-boundary plus boundary-of-contraction returns the word.
     The range is checked by :func:`_quotient_lift_top` before any word is
-    enumerated.
+    enumerated; every word in it is realizable, so the words are each whole
+    symmetric group, drawn uncached.
     """
     top = _quotient_lift_top(g, side)
+    _check_side(side)
 
     def lift(word: bytes) -> bytes | None:
         # the module-level name is read at each call, so a patched
@@ -667,5 +668,5 @@ def verify_quotient_homotopy(g: int, side: int) -> HomotopyReport:
         lifted = quotient_contraction(g, side, tuple(word))
         return None if lifted is None else bytes(lifted)
 
-    words = (w for d in range(2, top + 1) for w in realizable_perms(d, side, g))
+    words = (w for d in range(2, top + 1) for w in all_perms(d))
     return _contraction_report(words, lift)

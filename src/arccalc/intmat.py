@@ -22,13 +22,13 @@ divisibility chain as they are found.
 
 Memory, not time, is what bounds sparse elimination on large boundary
 matrices (Dumas, Heckenbach, Saunders and Welker, 2003), so both stages
-keep little beside the fill-in.  Their rows are the input's own dicts until
-one is first written, when that row alone is copied, so ``snf`` never
-mutates its input.  The echelon keeps only its pivot rows, and each row's
-heap only while the row is reduced.  The eliminator's columns each keep a
-plain list of the rows that have held an entry there, appended to and never
-pruned: it may name a row twice, or a row whose entry is gone, and it is
-rebuilt only when its column pivots.  A retired pivot's row is a fresh
+keep little beside the fill-in, and neither writes the input.  The echelon
+copies a row at its first reduction and keeps only its pivot rows, and each
+row's heap only while the row is reduced.  The eliminator copies the rows
+it keeps once, when it starts, and each of its columns keeps a plain list
+of the rows that have held an entry there, appended to and never pruned:
+it may name a row twice, or a row whose entry is gone, and it is rebuilt
+only when its column pivots.  A retired pivot's row is a fresh
 one-entry dict, since a Python dict never shrinks as entries are deleted.
 
 Homology clears a boundary matrix by the lead columns of the one below it,
@@ -44,12 +44,8 @@ triangular matrix.  Back substitution then gives, for each lead column
 lead columns, and ``c @ B == 0``: row ``q`` of ``B`` is an integer
 combination of the rows of ``B`` outside the lead columns.  Dropping those
 rows leaves the row lattice of ``B``, so its rank and every invariant
-factor, unchanged.  The eliminator's unit pivots clear by the same
-argument: when a unit pivot is picked, its row is still in the row lattice
-of ``A`` (the column operations so far changed only retired pivot rows),
-zero in every earlier pivot column and a unit in its own.  A non-unit pick
-mixes rows by column operations, so after one no pivot column is offered
-for clearing.
+factor, unchanged.  Only the echelon offers columns to clear: a matrix
+that reaches the eliminator offers none.
 """
 
 from __future__ import annotations
@@ -156,9 +152,8 @@ class SparseIntMatrix:
 class SNFResult:
     """
     Invariant factors ``d_1 | d_2 | ...`` with optional unimodular U, V.
-    ``unit_pivot_columns`` holds the lead columns of a unit echelon, or the
-    pivot columns of an elimination that picked only unit pivots, and is
-    empty after any non-unit pick.
+    ``unit_pivot_columns`` holds the lead columns of a unit echelon, and is
+    empty when the eliminator ran.
     """
 
     invariant_factors: tuple[int, ...]
@@ -173,18 +168,16 @@ class _Eliminator:
     Row/column elimination state of ``snf``'s second stage, which runs when
     transforms are wanted or the unit echelon meets a lead that is not a
     unit (the module docstring says what it keeps and why).  ``rows[i]`` is
-    the input's own dict, or a fresh empty one for a skipped row, until
-    ``own(i)`` copies it at its first write.  ``col_rows[j]`` may name a row
-    twice, or a row whose entry in column ``j`` is gone; ``clear_pivot``
-    rebuilds the pivot column's list before it reads it, and leaves a
-    retired pivot a one-entry row.
+    a copy of the input's row, or an empty dict for a skipped row.
+    ``col_rows[j]`` may name a row twice, or a row whose entry in column
+    ``j`` is gone; ``clear_pivot`` rebuilds the pivot column's list before
+    it reads it, and leaves a retired pivot a one-entry row.
     """
 
     def __init__(self, m: SparseIntMatrix, want_transforms: bool, skip_rows: frozenset[int]):
         self.nrows = m.nrows
-        self.shared = m._rows
         self.rows: list[dict[int, int]] = [
-            {} if i in skip_rows else r for i, r in enumerate(m._rows)
+            {} if i in skip_rows else dict(r) for i, r in enumerate(m._rows)
         ]
         self.col_rows: list[list[int]] = [[] for _ in range(m.ncols)]
         for i, row in enumerate(self.rows):
@@ -198,18 +191,11 @@ class _Eliminator:
             self.u_rows = [{i: 1} for i in range(m.nrows)]
             self.vt_rows = [{j: 1} for j in range(m.ncols)]
 
-    def own(self, i: int) -> dict[int, int]:
-        """Row ``i``, copied first if it is still the input's."""
-        row = self.rows[i]
-        if row is self.shared[i]:
-            row = self.rows[i] = dict(row)
-        return row
-
     # -- the elementary row operation; it lists new entries and keeps U in sync --
 
     def row_op(self, dst: int, src: int, c: int) -> None:
         # row dst += c * row src
-        rdst, col_rows = self.own(dst), self.col_rows
+        rdst, col_rows = self.rows[dst], self.col_rows
         for j, v in self.rows[src].items():
             # col_rows changes only where an entry appears
             if j not in rdst:
@@ -393,15 +379,13 @@ def snf(
     ``m``: those rows are integer combinations of the others (see the module
     docstring), so the factors and rank are those of ``m`` itself.  U would
     no longer be unimodular, so ``skip_rows`` with ``want_transforms``
-    raises ``ValueError``.
+    raises ``ValueError``, as does a skip row outside ``range(m.nrows)``.
 
-    ``m`` is never mutated: its rows are shared with the elimination until
-    they are first written, and copied then.
-
-    Two stages: without transforms, ``_unit_echelon`` runs first and its
-    result is returned if every lead is a unit, with the lead columns as
-    ``unit_pivot_columns``.  Otherwise, and always with transforms, the
-    eliminator runs on the input from the start.
+    ``m`` is never mutated.  Two stages: without transforms,
+    ``_unit_echelon`` runs first and its result is returned if every lead
+    is a unit, with the lead columns as ``unit_pivot_columns``.  Otherwise,
+    and always with transforms, the eliminator runs on a copy of the input's
+    rows, and ``unit_pivot_columns`` is empty.
 
     In the eliminator no row or column is ever moved.  Each pivot is
     recorded at the position where ``clear_pivot`` leaves it, alone in its
@@ -412,6 +396,9 @@ def snf(
     """
     if skip_rows and want_transforms:
         raise ValueError("skip_rows and want_transforms exclude each other")
+    outside = sorted(i for i in skip_rows if not 0 <= i < m.nrows)
+    if outside:
+        raise ValueError(f"skip rows {outside} are outside range({m.nrows})")
     if not want_transforms:
         echelon = _unit_echelon(m, skip_rows)
         if echelon is not None:
@@ -419,21 +406,18 @@ def snf(
     e = _Eliminator(m, want_transforms, skip_rows)
     rows = e.rows
     pivots: list[tuple[int, int]] = []
-    units_only = True
 
     while True:
         pick = e.find_pivot()
         if pick is None:
             break
-        units_only = units_only and rows[pick[0]][pick[1]] in (1, -1)
         pi, pj = e.clear_pivot(*pick)
         pivots.append((pi, pj))
         e.done_rows.add(pi)
 
     factors = tuple(abs(rows[r][c]) for r, c in pivots)
-    cleared = frozenset(c for _, c in pivots) if units_only else frozenset()
     if not want_transforms:
-        return SNFResult(factors, len(factors), unit_pivot_columns=cleared)
+        return SNFResult(factors, len(factors))
     sign = {r: -1 for r, c in pivots if rows[r][c] < 0}
     u = SparseIntMatrix(m.nrows, m.nrows)
     u._rows = [
@@ -442,7 +426,7 @@ def snf(
     ]
     vt = SparseIntMatrix(m.ncols, m.ncols)
     vt._rows = [e.vt_rows[c] for c in _pivots_first([c for _, c in pivots], m.ncols)]
-    return SNFResult(factors, len(factors), u, vt.transpose(), cleared)
+    return SNFResult(factors, len(factors), u, vt.transpose())
 
 
 def _add_multiple(dst: dict[int, int], src: dict[int, int], c: int) -> None:

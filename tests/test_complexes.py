@@ -1030,10 +1030,19 @@ class TestQuotientLiftCap:
         def never(*args):
             raise AssertionError("a word was enumerated")
 
-        monkeypatch.setattr(complexes, "realizable_perms", never)
+        monkeypatch.setattr(complexes, "all_perms", never)
         for g, side in ((100, 2), (8, 2), (9, 1)):
             with pytest.raises(ValueError):
                 verify_quotient_homotopy(g, side)
+
+    @pytest.mark.parametrize("side", [0, 3, True])
+    def test_a_bad_side_raises_before_enumerating(self, monkeypatch, side):
+        def never(*args):
+            raise AssertionError("a word was enumerated")
+
+        monkeypatch.setattr(complexes, "all_perms", never)
+        with pytest.raises(ValueError, match="side must be 1 or 2"):
+            verify_quotient_homotopy(3, side)
 
     @pytest.mark.parametrize("g, side", [(7, 2), (8, 1)])
     def test_top_degree_at_the_cap_is_checked(self, monkeypatch, g, side):

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import arccalc
+from arccalc.complexes import face_matrix
 from arccalc.intmat import SparseIntMatrix, _unit_echelon, snf
+from arccalc.perms import all_perms
 
 from dense_snf import dense_invariant_factors
 
@@ -241,8 +243,9 @@ class TestLazyColumnIndex:
 
 
 class TestInputUntouched:
-    """The eliminator shares its rows with the input until it first writes
-    one, so ``snf`` must copy a row before every write."""
+    """The eliminator copies the rows it keeps when it starts, and the
+    echelon shares a row with the input until it first reduces it, so
+    neither stage may write a row it has not copied."""
 
     @given(
         st.one_of(
@@ -268,6 +271,29 @@ class TestInputUntouched:
             assert m._rows == before, kwargs
             assert snf(m, **kwargs) == first, kwargs
         assert snf(m, skip_rows=skip).invariant_factors == u.invariant_factors
+
+
+class TestEliminatorAtBoundarySize:
+    """The eliminator on ∂_6 of S_6, 120 x 720 of rank 100, where the other
+    tests give it at most 15 x 15."""
+
+    def boundary(self):
+        return face_matrix(all_perms(6), list(all_perms(5)))
+
+    def test_transforms_diagonalize_it(self):
+        m = self.boundary()
+        res = snf(m, want_transforms=True)
+        assert res.invariant_factors == (1,) * 100
+        assert res.U @ m @ res.V == diagonal(res.invariant_factors, m.nrows, m.ncols)
+
+    def test_doubled_it_falls_back_and_is_left_untouched(self):
+        m = self.boundary()
+        doubled = SparseIntMatrix.from_entries(m.nrows, m.ncols, ((i, j, 2 * v) for i, j, v in m.entries()))
+        before = copy.deepcopy(doubled._rows)
+        assert _unit_echelon(doubled, frozenset()) is None
+        res = snf(doubled)
+        assert (res.invariant_factors, res.unit_pivot_columns) == ((2,) * 100, frozenset())
+        assert doubled._rows == before
 
 
 def bareiss_det(matrix):
@@ -359,6 +385,20 @@ class TestClearing:
     )
     def test_a_non_unit_pick_reports_no_pivot_column(self, dense):
         assert snf(from_dense(dense)).unit_pivot_columns == frozenset()
+
+    def test_an_elimination_of_unit_picks_offers_no_column(self):
+        # the echelon meets the lead 2 and falls back; the eliminator then
+        # picks only the unit 1, and still offers no column to clear
+        m = from_dense([[1, 2]])
+        assert _unit_echelon(m, frozenset()) is None
+        res = snf(m)
+        assert (res.invariant_factors, res.unit_pivot_columns) == ((1,), frozenset())
+
+    @pytest.mark.parametrize("row", [-1, 2])
+    def test_a_skip_row_outside_the_matrix_raises(self, row):
+        # the text face_matrix gives for the same set
+        with pytest.raises(ValueError, match=rf"^skip rows \[{row}\] are outside range\(2\)$"):
+            snf(SparseIntMatrix(2, 2), skip_rows=frozenset({row}))
 
     def test_skipped_rows_are_absent(self):
         m = from_dense([[2, 0], [0, 3], [0, 0]])
