@@ -16,6 +16,14 @@ time; CSV a line at a time; and a table in two reads of its rows, one for
 the column widths and one for the lines.  So no report holds its rows or
 its whole text.  Reports and ``--describe`` go to stdout through one write,
 and a reader that closes the pipe early ends either quietly.
+
+A start loads the package and this module, and no other arccalc module:
+the parser reads its two library values, ``MAX_DEGREE_CAP`` and
+``EXCEPTION_CASES``, from the package, so ``--describe`` and ``--help``
+load nothing more.  Each runner imports the library modules it calls in
+its own body, so a command loads only what it runs.  A few library names
+(``complexes``, ``oracle_boundary_count``, ...) also read as
+``cli.<name>``, each loaded when it is read.
 """
 
 from __future__ import annotations
@@ -27,20 +35,40 @@ import sys
 from collections import Counter
 from itertools import islice
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from . import complexes, e1page, ledger
-from .perms import all_perms
-from .ribbon import oracle_boundary_count
-from .surfaces import (
-    ArcClass,
-    SurfaceType,
-    boundary_count,
-    boundary_of_neighborhood,
-    cut_surface,
-    genus_counts,
-    simplex_genus,
-)
+from . import EXCEPTION_CASES, MAX_DEGREE_CAP
+
+if TYPE_CHECKING:
+    from .surfaces import SurfaceType
+
+# library name -> its module, for the names callers read as ``cli.<name>``
+# (perfbench's tracer reads ``cli.oracle_boundary_count``); a module maps to
+# itself
+_LIBRARY = {
+    name: module
+    for module, names in (
+        ("complexes", "complexes"),
+        ("e1page", "e1page"),
+        ("ledger", "ledger"),
+        ("perms", "all_perms"),
+        ("ribbon", "oracle_boundary_count"),
+        ("surfaces", "ArcClass SurfaceType boundary_count boundary_of_neighborhood cut_surface genus_counts"
+                     " simplex_genus"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    # read afresh on each access, as the package's own names are
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    module = importlib.import_module(f"{__package__}.{_LIBRARY[name]}")
+    return module if name == _LIBRARY[name] else getattr(module, name)
+
 
 FORMATS = ("json", "csv", "table")
 FORMAT_ENV = "ARCCALC_FORMAT"
@@ -85,6 +113,8 @@ def _at_least(low: int):
 
 def _surface(text: str) -> SurfaceType:
     """An argparse type: an ambient surface written ``g,r``."""
+    from .surfaces import SurfaceType
+
     try:
         g, r = (int(x) for x in text.split(","))
         return SurfaceType(g, r)
@@ -142,6 +172,10 @@ def _oracle_block(task: tuple[int, int]) -> tuple[int, list[dict]]:
     each word whose two counts differ, then each simplex genus whose tally of
     traced words is not its ``genus_counts``, as a missed or repeated word makes.
     """
+    from .perms import all_perms
+    from .ribbon import oracle_boundary_count
+    from .surfaces import boundary_count, genus_counts
+
     degree, side = task
     checked = 0
     rows = []
@@ -176,6 +210,9 @@ def _pmap(fn, tasks: list, threads: int) -> list:
 
 
 def run_invariants(args, parser) -> tuple[dict, tuple[str, ...], bool]:
+    from .ribbon import oracle_boundary_count
+    from .surfaces import ArcClass, boundary_of_neighborhood, cut_surface, simplex_genus
+
     try:
         a = ArcClass(tuple(int(x) for x in args.perm.split(",")), args.side)
     except ValueError as exc:
@@ -195,6 +232,10 @@ def run_invariants(args, parser) -> tuple[dict, tuple[str, ...], bool]:
 
 
 def run_oracle_diff(args, parser) -> tuple[dict, tuple[str, ...], bool]:
+    # the modules _oracle_block reads, loaded before the pool forks so that
+    # its workers inherit them rather than each load them
+    from . import perms, ribbon, surfaces  # noqa: F401
+
     tasks = [(d, side) for d in range(1, args.max_degree + 1) for side in (1, 2)]
     blocks = _pmap(_oracle_block, tasks, args.threads)
     rows = [row for _, block in blocks for row in block]
@@ -203,6 +244,8 @@ def run_oracle_diff(args, parser) -> tuple[dict, tuple[str, ...], bool]:
 
 
 def run_homology(args, parser) -> tuple[dict, tuple[str, ...], bool]:
+    from . import complexes
+
     rows = complexes.exactness_report(args.genus, args.side, args.max_degree)
     for r in rows:
         r["torsion"] = ";".join(map(str, r["torsion"])) or "-"
@@ -211,6 +254,8 @@ def run_homology(args, parser) -> tuple[dict, tuple[str, ...], bool]:
 
 
 def run_homotopy(args, parser) -> tuple[dict, tuple[str, ...], bool]:
+    from . import complexes
+
     if (args.genus is None) != (args.side is None):
         parser.error("--genus and --side go together")
     if args.genus is not None:
@@ -236,6 +281,8 @@ def run_homotopy(args, parser) -> tuple[dict, tuple[str, ...], bool]:
 
 
 def run_e1(args, parser) -> tuple[dict, tuple[str, ...], bool]:
+    from . import e1page
+
     # a first differential needs a column p >= 2 to start from
     if args.with_d1 and args.max_p < 2:
         parser.error("--with-d1 needs --max-p >= 2")
@@ -272,6 +319,8 @@ def run_e1(args, parser) -> tuple[dict, tuple[str, ...], bool]:
 
 
 def run_ledger(args, parser) -> tuple[dict, tuple[str, ...], bool]:
+    from . import ledger
+
     obligations = ledger.main_theorem_ledger(args.g_max, args.k_max)
     ok = all(o.holds for o in obligations)
 
@@ -291,6 +340,8 @@ def run_ledger(args, parser) -> tuple[dict, tuple[str, ...], bool]:
 
 
 def run_exceptions(args, parser) -> tuple[dict, tuple[str, ...], bool]:
+    from . import ledger
+
     ok, computed = ledger.check_orbit_set_exceptions(args.case)
     columns = ("case", "l", "m", "n", "g", "k")
     return {"rows": [dict(zip(columns, (t.case, *t.lm, t.n, t.g, t.k))) for t in computed]}, columns, ok
@@ -305,24 +356,24 @@ COMMANDS: dict[str, tuple[str, Callable, list[tuple[str, dict]]]] = {
         ("--ambient", {"type": _surface, "default": None, "help": "ambient surface as g,r"}),
     ]),
     "oracle-diff": ("closed-form boundary count vs ribbon trace, exhaustively", run_oracle_diff, [
-        ("--max-degree", {"type": int, "choices": range(1, complexes.MAX_DEGREE_CAP + 1), "default": 6, "help": "exhaustive degree cap"}),
+        ("--max-degree", {"type": int, "choices": range(1, MAX_DEGREE_CAP + 1), "default": 6, "help": "exhaustive degree cap"}),
     ]),
     "homology": ("exactness report of the realizability quotient complex", run_homology, [
         ("--genus", {"type": _at_least(2), "required": True, "help": "quotient genus (>= 2)"}),
         ("--side", {"type": int, "choices": (1, 2), "required": True, "help": "1 or 2"}),
-        ("--max-degree", {"type": int, "choices": range(3, complexes.MAX_DEGREE_CAP + 1), "default": None, "help": "degree cap; the report covers degrees 2 .. cap-1"}),
+        ("--max-degree", {"type": int, "choices": range(3, MAX_DEGREE_CAP + 1), "default": None, "help": "degree cap; the report covers degrees 2 .. cap-1"}),
     ]),
     "homotopy": ("contraction identity on the full and quotient complexes", run_homotopy, [
-        ("--max-degree", {"type": int, "choices": range(1, complexes.MAX_DEGREE_CAP + 1), "default": 6, "help": "exhaustive degree cap"}),
+        ("--max-degree", {"type": int, "choices": range(1, MAX_DEGREE_CAP + 1), "default": 6, "help": "exhaustive degree cap"}),
         ("--genus", {"type": _at_least(2), "default": None, "help": "also check the quotient lift at this genus (>= 2)"}),
         ("--side", {"type": int, "choices": (1, 2), "default": None, "help": "side for the quotient lift"}),
         ("--samples", {"type": _at_least(0), "default": 0, "help": "random words per sampled degree (>= 0)"}),
-        ("--sample-degree", {"type": int, "choices": range(2, complexes.MAX_DEGREE_CAP + 1), "action": "append", "default": None, "help": "degree to sample, from 2 where the identity starts (repeatable)"}),
+        ("--sample-degree", {"type": int, "choices": range(2, MAX_DEGREE_CAP + 1), "action": "append", "default": None, "help": "degree to sample, from 2 where the identity starts (repeatable)"}),
     ]),
     "e1": ("first-page summand tables and first differentials", run_e1, [
         ("--ambient", {"type": _surface, "required": True, "help": "ambient surface as g,r"}),
         ("--side", {"type": int, "choices": (1, 2), "required": True, "help": "1 or 2"}),
-        ("--max-p", {"type": int, "choices": range(1, complexes.MAX_DEGREE_CAP + 1), "default": 4, "help": "last page column"}),
+        ("--max-p", {"type": int, "choices": range(1, MAX_DEGREE_CAP + 1), "default": 4, "help": "last page column"}),
         ("--with-d1", {"action": "store_true", "help": "emit first-differential matrices and check them"}),
     ]),
     "ledger": ("inequality obligations of the stability induction", run_ledger, [
@@ -331,7 +382,7 @@ COMMANDS: dict[str, tuple[str, Callable, list[tuple[str, dict]]]] = {
         ("--failures-only", {"action": "store_true", "help": "emit only violated obligations"}),
     ]),
     "exceptions": ("brute-force orbit-set exception lists", run_exceptions, [
-        ("--case", {"required": True, "choices": ledger.EXCEPTION_CASES, "help": "exception list to re-derive"}),
+        ("--case", {"required": True, "choices": EXCEPTION_CASES, "help": "exception list to re-derive"}),
     ]),
 }
 

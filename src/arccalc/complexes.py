@@ -57,6 +57,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import MAX_DEGREE_CAP
 from .intmat import SNFResult, SparseIntMatrix, snf
 from .perms import Perm, all_perms, block_faces, cofaces, faces, hat, identity
 from .surfaces import (
@@ -69,7 +70,6 @@ from .surfaces import (
 )
 
 DEFAULT_DEGREE_CAP = 7
-MAX_DEGREE_CAP = 8  # factorial growth; degree 9 is out of the supported range
 
 
 def _check_cap(max_degree: int, low: int = 1) -> None:

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import MAX_DEGREE_CAP, face_matrix, quotient_complex
+from . import MAX_DEGREE_CAP
+from .complexes import face_matrix, quotient_complex
 from .intmat import SparseIntMatrix
 from .perms import _ID, Perm, faces
 from .surfaces import SurfaceType, _check_side, _cut_surface, _genera, _realizable

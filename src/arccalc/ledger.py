@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import EXCEPTION_CASES
 from .perms import identity
 from .surfaces import _genera, _realizable, _word_genus
 
@@ -181,14 +182,13 @@ class ExceptionTuple:
     k: int
 
 
-# case -> (side, the twisted_range mode whose hypothesis it audits)
+# case -> (side, the twisted_range mode whose hypothesis it audits), one
+# entry for each of EXCEPTION_CASES
 _CASES = {
     "surj-s01": (2, "rel-surj-s01"),
     "surj-s11": (1, "rel-surj-s11"),
     "inj-s11": (1, "rel-iso-s11"),
 }
-
-EXCEPTION_CASES = tuple(sorted(_CASES))
 
 # hand-entered expected exception lists, expanded over the gluings
 EXPECTED_EXCEPTIONS: dict[str, frozenset[tuple[tuple[int, int], int, int, int]]] = {

@@ -19,9 +19,12 @@ Arcs are edges ``0..p-1`` oriented from vertex 0 to vertex 1, and edges
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .perms import Perm, inverse
-from .surfaces import ArcClass
+
+if TYPE_CHECKING:
+    from .surfaces import ArcClass
 
 Dart = int  # 2*edge + end
 

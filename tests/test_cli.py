@@ -334,11 +334,12 @@ class TestSuites:
         assert data["checked"] == 2 * (1 + 2 + 6 + 24 + 120)
 
     def test_oracle_diff_reports_a_mismatch(self, monkeypatch, capsys):
-        from arccalc import cli
+        # _oracle_block reads surfaces.boundary_count when it runs
+        from arccalc import cli, surfaces
 
-        count = cli.boundary_count
+        count = surfaces.boundary_count
         monkeypatch.setattr(
-            cli, "boundary_count", lambda w, side: count(w, side) + ((w, side) == ((1, 2, 0), 2))
+            surfaces, "boundary_count", lambda w, side: count(w, side) + ((w, side) == ((1, 2, 0), 2))
         )
         assert cli.main(["oracle-diff", "--max-degree", "3", "--format", "json"]) == 1
         data = json.loads(capsys.readouterr().out)
@@ -353,17 +354,18 @@ class TestSuites:
     @pytest.mark.parametrize("change", ["drop", "repeat"])
     def test_oracle_genus_tally_catches_a_missing_or_repeated_word(self, monkeypatch, capsys, change):
         # both counts agree on every word enumerated, so only the tally
-        # against genus_counts sees that the enumeration is wrong
+        # against genus_counts sees that the enumeration is wrong; _oracle_block
+        # reads perms.all_perms when it runs
         from itertools import chain, islice
 
-        from arccalc import cli
+        from arccalc import cli, perms
         from arccalc.surfaces import genus_counts
 
-        perms = cli.all_perms
+        words = perms.all_perms
         if change == "drop":
-            monkeypatch.setattr(cli, "all_perms", lambda d: islice(perms(d), 1, None))
+            monkeypatch.setattr(perms, "all_perms", lambda d: islice(words(d), 1, None))
         else:
-            monkeypatch.setattr(cli, "all_perms", lambda d: chain(perms(d), islice(perms(d), 1)))
+            monkeypatch.setattr(perms, "all_perms", lambda d: chain(words(d), islice(words(d), 1)))
         checked, rows = cli._oracle_block((4, 1))
         # the identity word, the first enumerated, has genus 0
         closed = genus_counts(4, 1)[0]
