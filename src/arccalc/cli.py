@@ -21,9 +21,9 @@ A start loads the package and this module, and no other arccalc module:
 the parser reads its two library values, ``MAX_DEGREE_CAP`` and
 ``EXCEPTION_CASES``, from the package, so ``--describe`` and ``--help``
 load nothing more.  Each runner imports the library modules it calls in
-its own body, so a command loads only what it runs.  A few library names
-(``complexes``, ``oracle_boundary_count``, ...) also read as
-``cli.<name>``, each loaded when it is read.
+its own body, so a command loads only what it runs.  One library name,
+``oracle_boundary_count``, also reads as ``cli.oracle_boundary_count``,
+loaded when it is read.
 """
 
 from __future__ import annotations
@@ -42,32 +42,15 @@ from . import EXCEPTION_CASES, MAX_DEGREE_CAP
 if TYPE_CHECKING:
     from .surfaces import SurfaceType
 
-# library name -> its module, for the names callers read as ``cli.<name>``
-# (perfbench's tracer reads ``cli.oracle_boundary_count``); a module maps to
-# itself
-_LIBRARY = {
-    name: module
-    for module, names in (
-        ("complexes", "complexes"),
-        ("e1page", "e1page"),
-        ("ledger", "ledger"),
-        ("perms", "all_perms"),
-        ("ribbon", "oracle_boundary_count"),
-        ("surfaces", "ArcClass SurfaceType boundary_count boundary_of_neighborhood cut_surface genus_counts"
-                     " simplex_genus"),
-    )
-    for name in names.split()
-}
-
 
 def __getattr__(name: str):
-    # read afresh on each access, as the package's own names are
-    if name not in _LIBRARY:
+    # perfbench's tracer reads ``cli.oracle_boundary_count``, afresh on each
+    # access so that it sees the traced binding
+    if name != "oracle_boundary_count":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
+    from .ribbon import oracle_boundary_count
 
-    module = importlib.import_module(f"{__package__}.{_LIBRARY[name]}")
-    return module if name == _LIBRARY[name] else getattr(module, name)
+    return oracle_boundary_count
 
 
 FORMATS = ("json", "csv", "table")

@@ -12,13 +12,15 @@ so this stage gives the rank and the factors, all 1, with no column index
 and no column operation.  At the first lead that is not a unit it gives up,
 and the second stage, the eliminator, starts over on the untouched input;
 the eliminator alone runs when transforms are wanted.  It also walks the
-rows in index order, pivoting each on its unit entry in the largest column;
-other matrices fall back to any unit entry, or else an entry of least
-absolute value.  A non-unit pivot reduces its whole column and row and then
-moves to the least remainder (the rule of Havas, Holt and Rees, 1993),
-which keeps coefficients small on torsion-heavy input, and it retires only
-once it divides every entry left, so the invariant factors form a
-divisibility chain as they are found.
+rows in index order: while a row is nonzero and not retired, it pivots on
+its unit entry in the largest column, or else on its entry of least
+absolute value.  A pivot reduces its whole column and row and, where
+remainders are left, moves to the least one (the rule of Havas, Holt and
+Rees, 1993), which keeps coefficients small on torsion-heavy input; it
+retires alone in its row and column.  After the walk, one chain pass makes
+the non-unit pivots a divisibility chain, pair by pair, each pair's gcd
+and lcm found by the same clearing in the 2 x 2 block of its rows and
+columns.
 
 Memory, not time, is what bounds sparse elimination on large boundary
 matrices (Dumas, Heckenbach, Saunders and Welker, 2003), so both stages
@@ -167,15 +169,16 @@ class _Eliminator:
     """
     Row/column elimination state of ``snf``'s second stage, which runs when
     transforms are wanted or the unit echelon meets a lead that is not a
-    unit (the module docstring says what it keeps and why).  ``rows[i]`` is
-    a copy of the input's row, or an empty dict for a skipped row.
-    ``col_rows[j]`` may name a row twice, or a row whose entry in column
-    ``j`` is gone; ``clear_pivot`` rebuilds the pivot column's list before
-    it reads it, and leaves a retired pivot a one-entry row.
+    unit (the module docstring says what it keeps and why).  ``walk``
+    retires one pivot at a time in row order, and ``chain`` then makes the
+    pivots a divisibility chain.  ``rows[i]`` is a copy of the input's row,
+    or an empty dict for a skipped row.  ``col_rows[j]`` may name a row
+    twice, or a row whose entry in column ``j`` is gone; ``clear_pivot``
+    rebuilds the pivot column's list before it reads it, and leaves the
+    pivot a one-entry row.
     """
 
     def __init__(self, m: SparseIntMatrix, want_transforms: bool, skip_rows: frozenset[int]):
-        self.nrows = m.nrows
         self.rows: list[dict[int, int]] = [
             {} if i in skip_rows else dict(r) for i, r in enumerate(m._rows)
         ]
@@ -183,8 +186,6 @@ class _Eliminator:
         for i, row in enumerate(self.rows):
             for j in row:
                 self.col_rows[j].append(i)
-        self.done_rows: set[int] = set()
-        self.cursor = 0
         self.u_rows: list[dict[int, int]] | None = None
         self.vt_rows: list[dict[int, int]] | None = None
         if want_transforms:
@@ -220,13 +221,9 @@ class _Eliminator:
         it; if remainders are left, the pivot moves to the row with the least
         remainder at ``(i, pj)`` and clearing starts over.  The pivot row is
         then reduced the same way, moving to the column with the least
-        remainder; the reduced row is built as a fresh dict, so a pivot
-        that retires holds a one-entry row.  A non-unit pivot alone in its
-        row and column retires only once it divides every entry of the rows
-        not yet retired: if one does not, that row is added to the pivot row
-        and clearing goes on.  So each pivot divides every later one.
-        Terminates because the pivot's absolute value strictly drops at
-        every move.
+        remainder; the reduced row is built as a fresh dict, so the pivot
+        ends alone in a one-entry row.  Terminates because the pivot's
+        absolute value strictly drops at every move.
         """
         rows, col_rows, vt_rows = self.rows, self.col_rows, self.vt_rows
         while True:
@@ -260,48 +257,56 @@ class _Eliminator:
                     if least is None or abs(r) < abs(row[least]):
                         least = j
             rows[pi] = row
-            if least is not None:
-                pj = least
-                continue
-            if v == 1 or v == -1:
+            if least is None:
                 return pi, pj
-            # the pivot row holds v alone, so it is never the row picked
-            done = self.done_rows
-            for i, other in enumerate(rows):
-                if i not in done and any(x % v for x in other.values()):
-                    self.row_op(pi, i, 1)
-                    break
-            else:
-                return pi, pj
+            pj = least
 
-    def find_pivot(self) -> tuple[int, int] | None:
+    def walk(self) -> list[tuple[int, int]]:
         """
-        Rows in index order first: the cursor only moves forward, and each
-        row it reaches pivots on its unit entry in the largest column.  On a
-        boundary matrix of lexicographic bases this is an echelon order with
-        little fill-in.  Once the cursor has passed the last row, a scan of
-        the rows not yet retired picks any unit entry, or else an entry of
-        least absolute value; it covers non-unit matrices and rows that
-        gained a unit entry after the cursor passed them.
+        The pivots, in the order they retire, of a walk over the rows in
+        index order.  While a row is nonzero and not retired, it pivots on
+        its unit entry in the largest column (on boundary matrices of
+        lexicographic bases, an echelon order with little fill-in), or else
+        on its entry of least absolute value.  A pivot moves only to a row
+        with an entry in a live column, so the rows behind the walk stay
+        zero or retired; a row retired ahead of it is passed over.
         """
-        rows, done = self.rows, self.done_rows
-        # a unit pivot never moves, so no row ahead of the cursor is retired
-        while self.cursor < self.nrows:
-            i = self.cursor
-            self.cursor += 1
-            units = [j for j, v in rows[i].items() if v == 1 or v == -1]
-            if units:
-                return i, max(units)
-        best = None
-        for i, row in enumerate(rows):
-            if i in done:
-                continue
-            for j, v in row.items():
-                if v == 1 or v == -1:
-                    return i, j
-                if best is None or abs(v) < abs(rows[best[0]][best[1]]):
-                    best = (i, j)
-        return best
+        rows = self.rows
+        pivots: list[tuple[int, int]] = []
+        done: set[int] = set()
+        for i in range(len(rows)):
+            while rows[i] and i not in done:
+                row = rows[i]
+                units = [j for j, v in row.items() if v == 1 or v == -1]
+                pj = max(units) if units else min(row, key=lambda j: abs(row[j]))
+                pivot = self.clear_pivot(i, pj)
+                pivots.append(pivot)
+                done.add(pivot[0])
+        return pivots
+
+    def chain(self, pivots: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        """
+        The unit pivots, then the others made a divisibility chain: for each
+        pair a < b of them, while d_a does not divide d_b, row b is added to
+        row a and a is cleared again.  That stays in the 2 x 2 block of the
+        pair's rows and columns, so b ends at the block's other row and
+        column.  Each round drops |d_a| and keeps |d_a * d_b|, so the pair
+        ends with the gcd at a and the lcm at b.
+        """
+        rows = self.rows
+        units = [(r, c) for r, c in pivots if rows[r][c] in (1, -1)]
+        chained = [(r, c) for r, c in pivots if rows[r][c] not in (1, -1)]
+        for a in range(len(chained)):
+            for b in range(a + 1, len(chained)):
+                while True:
+                    (ra, ca), (rb, cb) = chained[a], chained[b]
+                    if rows[rb][cb] % rows[ra][ca] == 0:
+                        break
+                    self.row_op(ra, rb, 1)
+                    pi, pj = self.clear_pivot(ra, ca)
+                    chained[a] = pi, pj
+                    chained[b] = rb if pi == ra else ra, cb if pj == ca else ca
+        return units + chained
 
 
 def _unit_echelon(m: SparseIntMatrix, skip_rows: frozenset[int]) -> SNFResult | None:
@@ -387,12 +392,13 @@ def snf(
     and always with transforms, the eliminator runs on a copy of the input's
     rows, and ``unit_pivot_columns`` is empty.
 
-    In the eliminator no row or column is ever moved.  Each pivot is
-    recorded at the position where ``clear_pivot`` leaves it, alone in its
-    row and column (a one-entry dict) and dividing every entry left, so the
-    pivots retire in divisibility order.  U lists the pivot rows in that order (negated where
-    the pivot is negative) before the other rows, and V the pivot columns
-    before the other columns.
+    In the eliminator no row or column is ever moved.  The walk records
+    each pivot at the position where ``clear_pivot`` leaves it, alone in its
+    row and column (a one-entry dict), and the chain pass orders the
+    pivots: the units first, then the others, each dividing the next.  U
+    lists the pivot rows in that order (negated where the pivot is
+    negative) before the other rows, and V the pivot columns before the
+    other columns.
     """
     if skip_rows and want_transforms:
         raise ValueError("skip_rows and want_transforms exclude each other")
@@ -405,16 +411,7 @@ def snf(
             return echelon
     e = _Eliminator(m, want_transforms, skip_rows)
     rows = e.rows
-    pivots: list[tuple[int, int]] = []
-
-    while True:
-        pick = e.find_pivot()
-        if pick is None:
-            break
-        pi, pj = e.clear_pivot(*pick)
-        pivots.append((pi, pj))
-        e.done_rows.add(pi)
-
+    pivots = e.chain(e.walk())
     factors = tuple(abs(rows[r][c]) for r, c in pivots)
     if not want_transforms:
         return SNFResult(factors, len(factors))

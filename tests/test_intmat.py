@@ -186,9 +186,13 @@ class TestSNFExamples:
             pytest.param([[2], [3]], (1,), id="to-another-row"),
             pytest.param([[2, 3]], (1,), id="to-another-column"),
             pytest.param([[2, 3], [3, 2]], (1, 5), id="no-unit-entry"),
-            # row 0 has no unit entry when the cursor passes it, and becomes
-            # [-1, 0] only once row 1's pivot clears column 1
-            pytest.param([[2, 3], [1, 1]], (1, 1), id="unit-appears-behind-cursor"),
+            # row 0 has no unit entry; its pivot 2 moves to row 1's 1 and
+            # retires row 1 ahead of the walk, which passes over it, and row
+            # 0, left [0, 1], pivots again
+            pytest.param([[2, 3], [1, 1]], (1, 1), id="retired-ahead-of-the-walk"),
+            # the walk retires 6 before 4, and the chain pass moves their gcd
+            # to the first pivot and their lcm to the second
+            pytest.param([[6, 0], [0, 4]], (2, 12), id="descending-diagonal"),
         ],
     )
     def test_pivot_moves(self, dense, expected):
@@ -224,17 +228,19 @@ class TestLazyColumnIndex:
     @pytest.mark.parametrize(
         "dense, expected",
         [
-            # pivot (0, 0) cancels row 1's entry in column 2; the non-unit
-            # pick (2, 1) brings it back, so column 2 names row 1 twice when
-            # that pivot moves on to (2, 2)
+            # pivots at (0, 0), (1, 1) and (1, 1): the first cancels row 1's
+            # entry in column 2; the non-unit pick (1, 1) moves to (2, 1),
+            # whose row operation brings it back, so column 2 names row 1
+            # twice when that pivot moves on to (2, 2)
             pytest.param([[1, 2, 2], [-1, 2, -2], [1, 0, -1]], (1, 1, 12), id="reappears-twice"),
-            # pivot (1, 1) clears row 1's entry in column 0 and retires, and
-            # column 0 still names row 1 when (0, 0) pivots
+            # the pick (0, 0) moves to (1, 0), clears row 1's entry in column
+            # 1 and retires row 1; column 1 still names row 1 when (0, 1)
+            # pivots
             pytest.param([[2, 2], [-1, 1]], (1, 4), id="retired-row-listed"),
-            # the unit picks (0, 2) and (2, 1): the first cancels row 1's
-            # entry in column 0 and the second brings it back; when (1, 0)
-            # pivots, column 0 names row 1 twice and the retired rows 0 and 2
-            pytest.param([[1, 0, 1], [1, 2, 1], [1, 1, 0]], (1, 1, 2), id="unit-picks"),
+            # the unit picks (0, 2), (1, 1) and (2, 0): the first cancels row
+            # 2's entry in column 0 and the second brings it back; when (2, 0)
+            # pivots, column 0 names row 2 twice and the retired rows 0 and 1
+            pytest.param([[1, 1, 1], [0, 0, 1], [1, 0, 1]], (1, 1, 1), id="unit-picks"),
         ],
     )
     def test_stale_listings(self, dense, expected):
@@ -280,6 +286,10 @@ class TestEliminatorAtBoundarySize:
     def boundary(self):
         return face_matrix(all_perms(6), list(all_perms(5)))
 
+    def doubled(self):
+        m = self.boundary()
+        return SparseIntMatrix.from_entries(m.nrows, m.ncols, ((i, j, 2 * v) for i, j, v in m.entries()))
+
     def test_transforms_diagonalize_it(self):
         m = self.boundary()
         res = snf(m, want_transforms=True)
@@ -287,13 +297,19 @@ class TestEliminatorAtBoundarySize:
         assert res.U @ m @ res.V == diagonal(res.invariant_factors, m.nrows, m.ncols)
 
     def test_doubled_it_falls_back_and_is_left_untouched(self):
-        m = self.boundary()
-        doubled = SparseIntMatrix.from_entries(m.nrows, m.ncols, ((i, j, 2 * v) for i, j, v in m.entries()))
+        doubled = self.doubled()
         before = copy.deepcopy(doubled._rows)
         assert _unit_echelon(doubled, frozenset()) is None
         res = snf(doubled)
         assert (res.invariant_factors, res.unit_pivot_columns) == ((2,) * 100, frozenset())
         assert doubled._rows == before
+
+    def test_doubled_transforms_diagonalize_it(self):
+        # every pivot is non-unit, so the chain pass runs over all 100
+        m = self.doubled()
+        res = snf(m, want_transforms=True)
+        assert res.invariant_factors == (2,) * 100
+        assert res.U @ m @ res.V == diagonal(res.invariant_factors, m.nrows, m.ncols)
 
 
 def bareiss_det(matrix):
