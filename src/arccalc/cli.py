@@ -35,11 +35,14 @@ import sys
 from collections import Counter
 from itertools import islice
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import EXCEPTION_CASES, MAX_DEGREE_CAP
 
+# the annotations are strings, never evaluated, so a start loads no typing
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Callable, Iterable, Iterator
+
     from .surfaces import SurfaceType
 
 

@@ -28,9 +28,10 @@ complex is contracted by :func:`~arccalc.perms.hat` in every degree from 2
 on, and realizability is closed under faces, since a face keeps its word's
 genus or lowers it by one.  So the long exact sequence of the full complex
 ``P`` and its quotient complex ``Q`` gives ``H_d(Q) ≅ H_{d+1}(P/Q)`` for
-``d >= 2``.  The complement's words are drawn from cofaces, its boundaries
-are face matrices that drop the realizable faces, and its top boundary is
-read as rows over the cofaces of the degree below.
+``d >= 2``.  The complement's words are drawn a level at a time by the
+corner rule of :mod:`arccalc.surfaces`, its boundaries are face matrices
+that drop the realizable faces, and its top boundary is read as rows over
+the cofaces of the degree below.
 
 Boundary matrices and the contraction checks take their faces from one
 routine, :func:`~arccalc.perms.faces`, on byte-string words (byte ``i`` is
@@ -60,14 +61,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import MAX_DEGREE_CAP
 from .intmat import SNFResult, SparseIntMatrix, snf
 from .perms import Perm, all_perms, block_faces, cofaces, faces, hat, identity
-from .surfaces import (
-    _check_side,
-    _genus_levels,
-    _realizable,
-    _realizable_words,
-    _word_genus,
-    genus_counts,
-)
+from .surfaces import _check_side, _genus_levels, _realizable, _realizable_levels, _word_genus, genus_counts
 
 DEFAULT_DEGREE_CAP = 7
 
@@ -234,13 +228,15 @@ def quotient_complex(g: int, side: int, max_degree: int = DEFAULT_DEGREE_CAP) ->
     """
     Subcomplex of realizable words at genus ``g``.  Realizability is closed
     under faces, so the boundary restricts; construction checks it.  The
-    bases are drawn from the uncached filter, not through the cache of
-    :func:`~arccalc.surfaces.realizable_perms`, which would hold them as
-    tuples for the life of the process.
+    bases are one walk up the uncached levels of
+    :func:`~arccalc.surfaces._realizable_levels`, not drawn through the
+    cache of :func:`~arccalc.surfaces.realizable_perms`, which would hold
+    them as tuples for the life of the process.
     """
     _check_genus(g)
     _check_cap(max_degree)
-    return ChainComplex({d: tuple(_realizable_words(d, side, g)) for d in range(1, max_degree + 1)})
+    levels = _realizable_levels(side, g, max_degree)
+    return ChainComplex({d: tuple(w for w, _ in level) for d, level in enumerate(levels, 1)})
 
 
 def _homology_at(dimension: int, out: SNFResult | None, into: SparseIntMatrix | None) -> HomologyGroup:
@@ -377,18 +373,21 @@ def _walk(bases: Iterable[Sequence[bytes]], build: Callable, top: Callable) -> I
 def _direct_rows(g: int, side: int, max_degree: int) -> list[dict]:
     """
     :func:`exactness_report`'s rows by the direct route, for checked
-    arguments: :func:`_walk` over the realizable words, drawn from the
-    uncached realizability filter.  They equal :func:`homology` of
+    arguments: :func:`_walk` over the realizable words, one walk up the
+    levels of :func:`~arccalc.surfaces._realizable_levels`, each made from
+    the basis below.  They equal :func:`homology` of
     :func:`quotient_complex` at each degree, with the same ``snf`` calls on
     the same matrices in the same order, but no :class:`ChainComplex` is
     built.  The top basis is never held: its words go straight from the
-    filter into the columns of the last matrix.
+    level walk into the columns of the last matrix.
     """
+    levels = _realizable_levels(side, g, max_degree)
 
     def last(basis: Sequence[bytes], cleared: frozenset[int]) -> SparseIntMatrix:
-        return face_matrix(_realizable_words(max_degree, side, g), basis, skip_rows=cleared)
+        return face_matrix((w for w, _ in next(levels)), basis, skip_rows=cleared)
 
-    bases = (tuple(_realizable_words(d, side, g)) for d in range(1, max_degree))
+    # islice stops at the level below the top, which it leaves for last
+    bases = (tuple(w for w, _ in level) for level in itertools.islice(levels, max_degree - 1))
     # face_matrix never gives None, so the zero ∂_2 on S_2 is reduced, as
     # homology reduces it
     return _rows(g, side, _walk(bases, face_matrix, last))
@@ -413,8 +412,9 @@ def complement_report(g: int, side: int, max_degree: int | None = None) -> list[
     face, and a word is realizable exactly when ``δ <= g + side - 1``.
 
     The non-realizable words of degree ``p`` are those of genus at most
-    ``p - g - side``, drawn by :func:`~arccalc.surfaces._genus_levels` from
-    cofaces, without enumerating ``S_p``.  They are walked by
+    ``p - g - side``, drawn by :func:`~arccalc.surfaces._genus_levels`, each
+    level made from the one below at position 0 alone, without enumerating
+    ``S_p`` or counting a boundary per word.  They are walked by
     :func:`_walk`: :func:`face_matrix` builds each inner boundary with
     ``relative_to`` the realizability test, so every face it drops is
     checked to be realizable, and a boundary with no entry is the zero map.

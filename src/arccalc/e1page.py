@@ -27,7 +27,7 @@ from . import MAX_DEGREE_CAP
 from .complexes import face_matrix, quotient_complex
 from .intmat import SparseIntMatrix
 from .perms import _ID, Perm, faces
-from .surfaces import SurfaceType, _check_side, _cut_surface, _genera, _realizable
+from .surfaces import SurfaceType, _check_side, _cut_surface, _realizable_levels
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,10 +66,11 @@ def e1_skeleton(ambient: SurfaceType, side: int, max_p: int) -> E1Page:
     Populate columns 1..``max_p`` with realizable words and their stabilizer
     labels.  The page converges to zero for ``p + q <= 2g - 2 + side``.
 
-    One pass, :func:`~arccalc.surfaces._genera`, gives each word's simplex
-    genus from one uncached boundary count.  A label depends on ``p`` and
-    the genus alone (:func:`cut_surface`), so a column works out one label
-    per genus, shared by its summands.
+    One walk up the degrees, :func:`~arccalc.surfaces._realizable_levels`,
+    makes each column from the one before and gives each word's simplex
+    genus by the corner rule, with no boundary count per word.  A label
+    depends on ``p`` and the genus alone (:func:`cut_surface`), so a column
+    works out one label per genus, shared by its summands.
 
     >>> page = e1_skeleton(SurfaceType(3, 2), 1, 2)
     >>> page.vanishing_bound
@@ -83,14 +84,13 @@ def e1_skeleton(ambient: SurfaceType, side: int, max_p: int) -> E1Page:
     if not 1 <= max_p <= MAX_DEGREE_CAP:
         raise ValueError(f"max_p must be in [1, {MAX_DEGREE_CAP}]")
     columns = []
-    for p in range(1, max_p + 1):
+    for level in _realizable_levels(side, ambient.g, max_p):
         col = []
         labels: dict[int, SurfaceType] = {}
-        for w, s in _genera(p, side):
-            if _realizable(w, side, ambient.g, s):
-                if s not in labels:
-                    labels[s] = _cut_surface(ambient, w, side, s)
-                col.append(Summand(w, s, labels[s]))
+        for w, s in level:
+            if s not in labels:
+                labels[s] = _cut_surface(ambient, w, side, s)
+            col.append(Summand(w, s, labels[s]))
         columns.append(tuple(col))
     return E1Page(ambient, side, tuple(columns), 2 * ambient.g - 2 + side)
 

@@ -753,17 +753,14 @@ class TestComplementRoute:
 
             return route
 
-        realizable_words = complexes._realizable_words
+        def counting(levels):
+            # each level is read once, so its words are counted as they are read
+            def count(level):
+                for pair in level:
+                    drawn.append(pair)
+                    yield pair
 
-        def counting_words(*args):
-            for w in realizable_words(*args):
-                drawn.append(w)
-                yield w
-
-        def counting_levels(*args):
-            for level in _genus_levels(*args):
-                drawn.extend(level)
-                yield level
+            return lambda *args: map(count, levels(*args))
 
         def counting_snf(m, *args, **kwargs):
             reduced.append(m)
@@ -771,8 +768,8 @@ class TestComplementRoute:
 
         for name in ("_direct_rows", "_complement_rows"):
             monkeypatch.setattr(complexes, name, taking(name))
-        monkeypatch.setattr(complexes, "_realizable_words", counting_words)
-        monkeypatch.setattr(complexes, "_genus_levels", counting_levels)
+        monkeypatch.setattr(complexes, "_realizable_levels", counting(complexes._realizable_levels))
+        monkeypatch.setattr(complexes, "_genus_levels", counting(complexes._genus_levels))
         monkeypatch.setattr(complexes, "snf", counting_snf)
         rows = exactness_report(g, side, max_degree)
         assert taken == ["_" + route + "_rows"]

@@ -21,6 +21,7 @@ from arccalc.surfaces import (
     _neighborhood_boundary,
     boundary_count,
     cut_surface,
+    genus_counts,
     realizable_perms,
     simplex_genus,
 )
@@ -122,9 +123,9 @@ class TestSkeleton:
     def test_max_p_over_the_cap_raises_before_enumerating(self, monkeypatch):
         # a column over the cap would count all of S_9 or more
         def unreachable(*args):
-            pytest.fail("the genus pass ran for a max_p over the cap")
+            pytest.fail("the level walk ran for a max_p over the cap")
 
-        monkeypatch.setattr(e1page, "_genera", unreachable)
+        monkeypatch.setattr(e1page, "_realizable_levels", unreachable)
         with pytest.raises(ValueError, match="max_p"):
             e1_skeleton(SurfaceType(4, 2), 2, 9)
 
@@ -310,19 +311,25 @@ def test_column_genus_recorded():
             assert s.genus == simplex_genus(ArcClass(s.perm, 1))
 
 
-def test_skeleton_counts_each_word_once(monkeypatch):
-    # one boundary count per word of S_1..S_7, also in the columns where
-    # every word is realizable: 1! + ... + 7! = 5913
-    counted = []
+def test_skeleton_labels_each_parent_once(monkeypatch):
+    # no boundary is counted: each word of columns 1..6 has its cycles
+    # labelled once, in order, as a parent of column p + 1, also in the
+    # columns where every word is realizable
+    labelled = []
+    corner = surfaces._corner
 
-    def counting(perm, side):
-        counted.append(perm)
-        return boundary_count(perm, side)
+    def labelling(w, side):
+        labelled.append(w)
+        return corner(w, side)
 
-    monkeypatch.setattr(surfaces, "boundary_count", counting)
-    e1_skeleton(SurfaceType(4, 2), 2, 7)
-    assert len(counted) == 5913
-    assert len(set(counted)) == 5913
+    def unreachable(*args):
+        pytest.fail("a boundary was counted")
+
+    monkeypatch.setattr(surfaces, "_corner", labelling)
+    monkeypatch.setattr(surfaces, "boundary_count", unreachable)
+    page = e1_skeleton(SurfaceType(4, 2), 2, 7)
+    assert labelled == [s.word for p in range(1, 7) for s in page.column(p)]
+    assert len(labelled) == 1 + 2 + 6 + 24 + 120 + sum(genus_counts(6, 2)[1:])
 
 
 def test_labels_read_each_boundary_count_once_uncached():

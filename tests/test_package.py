@@ -4,6 +4,7 @@ modules that it runs.
 """
 
 import importlib
+import os
 import subprocess
 import sys
 
@@ -109,6 +110,22 @@ class TestCommandLoads:
         modules = loaded(*argv)
         assert f"arccalc.{runs}" in modules
         assert not modules & {f"arccalc.{m}" for m in absent}
+
+    def test_importing_the_cli_loads_no_typing(self):
+        # in an interpreter without site, which loads typing on some setups,
+        # and with the modules the cli needs already loaded
+        code = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import argparse, collections, json\n"
+            "before = 'typing' in sys.modules\n"
+            "import arccalc.cli\n"
+            "print(before, 'typing' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(arccalc.__file__))
+        res = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "False False\n"
 
     def test_the_cli_names_still_resolve(self):
         from arccalc import cli, ribbon

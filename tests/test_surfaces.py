@@ -5,8 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from arccalc.perms import all_perms, compose, cycle_count, faces, hat, identity, inverse, rotation
 from arccalc.surfaces import (
+    _corner,
     _genera,
     _genus_levels,
+    _levels,
+    _realizable_levels,
     _word_genus,
     _neighborhood_boundary,
     SIDES,
@@ -205,11 +208,9 @@ class TestRealizability:
 class TestGenusCounts:
     @pytest.mark.parametrize("side", [1, 2])
     def test_matches_enumeration(self, side):
-        # the genus pass gives each word of S_p once, in lexicographic order,
-        # as the byte word whose boundary it counted
+        # the closed form against one uncached boundary count per word of S_p
         for p in range(1, 9):
-            words, genera = zip(*_genera(p, side))
-            assert words == tuple(map(bytes, all_perms(p)))
+            genera = [_word_genus(w, side) for w in map(bytes, all_perms(p))]
             assert dict(enumerate(genus_counts(p, side))) == Counter(genera), p
 
     def test_counts_realizable_words(self):
@@ -227,28 +228,79 @@ class TestGenusCounts:
         # a word missed or drawn twice changes a level's tally; each level is
         # in lexicographic order, each word with its own genus, none over S
         for p, level in enumerate(_genus_levels(S, side, 8), 1):
+            level = list(level)
             assert len(level) == sum(genus_counts(p, side)[: S + 1]), p
             words = [w for w, _ in level]
             assert words == sorted(set(words))
             assert all(s == _word_genus(w, side) <= S for w, s in level), p
 
     def test_a_negative_genus_bound_gives_empty_levels(self):
-        assert list(_genus_levels(-1, 1, 8)) == [[]] * 8
+        assert [list(level) for level in _genus_levels(-1, 1, 8)] == [[]] * 8
 
     @pytest.mark.parametrize("side", [1, 2])
     def test_a_face_keeps_the_genus_or_lowers_it_by_one(self, side):
-        # what the coface levels and the complement route rest on: every face
-        # of every word through degree 7
+        # what the levels and the complement route rest on: every face of
+        # every word through degree 7, each genus from its own boundary count
         for p in range(2, 8):
-            genus = dict(_genera(p - 1, side))
-            for w, s in _genera(p, side):
-                assert {s - genus[f] for f in faces(w)} <= {0, 1}, w
+            genus = {w: _word_genus(w, side) for w in map(bytes, all_perms(p - 1))}
+            for w in map(bytes, all_perms(p)):
+                assert {_word_genus(w, side) - genus[f] for f in faces(w)} <= {0, 1}, w
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             genus_counts(0, 1)
         with pytest.raises(ValueError):
             genus_counts(3, 3)
+
+
+# each predicate of the levels: its levels through degree 7, and its test on
+# a genus s of degree p
+LEVEL_CASES = [
+    ("every word", lambda side: _levels(side, lambda p, s: True, 7), lambda side, p, s: True),
+    *(
+        (
+            f"realizable at g{g}",
+            lambda side, g=g: _realizable_levels(side, g, 7),
+            lambda side, p, s, g=g: s >= p + 1 - g - side,
+        )
+        for g in range(2, 7)
+    ),
+    *(
+        (f"genus <= {S}", lambda side, S=S: _genus_levels(S, side, 7), lambda side, p, s, S=S: s <= S)
+        for S in range(4)
+    ),
+]
+
+
+class TestLevels:
+    """The levels made at position 0 by the corner rule, against one boundary count per word."""
+
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize("levels, keep", [c[1:] for c in LEVEL_CASES], ids=[c[0] for c in LEVEL_CASES])
+    def test_every_level_is_the_words_kept_by_their_own_genus(self, levels, keep, side):
+        drawn = [list(level) for level in levels(side)]
+        assert len(drawn) == 7
+        for p, level in enumerate(drawn, 1):
+            want = [(w, s) for w in map(bytes, all_perms(p)) for s in [_word_genus(w, side)] if keep(side, p, s)]
+            assert level == want, p
+
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_the_genus_pass_is_the_top_level(self, side):
+        for p in range(1, 8):
+            assert list(_genera(p, side)) == [(w, _word_genus(w, side)) for w in map(bytes, all_perms(p))], p
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 253).flatmap(lambda k: st.permutations(range(k))), st.data(), st.sampled_from(SIDES))
+    def test_the_corner_rule_on_random_words(self, word, data, side):
+        # the genus of the child made with first letter v, against its own
+        # boundary count; every child keeps the word's genus or raises it by one
+        w = bytes(word)
+        made = _corner(w, side)
+        assert len(made) == len(w) + 1
+        assert set(made) <= {_word_genus(w, side), _word_genus(w, side) + 1}
+        v = data.draw(st.integers(0, len(w)), label="v")
+        child = bytes([v]) + bytes(x + (x >= v) for x in w)
+        assert made[v] == _word_genus(child, side)
 
 
 class TestCutSurface:
